@@ -33,7 +33,10 @@ Response Client::send(const Request& request) {
   const std::string wire = request.serialize();
   std::size_t sent = 0;
   while (sent < wire.size()) {
-    const ssize_t n = ::send(fd_, wire.data() + sent, wire.size() - sent, 0);
+    // MSG_NOSIGNAL: a server that closed the connection surfaces as
+    // the exception below, not as a process-killing SIGPIPE.
+    const ssize_t n =
+        ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) throw std::runtime_error("http::Client: send() failed");
     sent += static_cast<std::size_t>(n);
   }

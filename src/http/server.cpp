@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -43,10 +44,14 @@ Server::Server(std::uint16_t port, Handler handler) : handler_(std::move(handler
 Server::~Server() {
   stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  MutexLock lock(workers_mutex_);
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
+  std::vector<std::thread> workers;
+  {
+    MutexLock lock(workers_mutex_);
+    workers.swap(workers_);
   }
+  // Joined without the lock: an exiting connection thread takes it to
+  // report itself finished.
+  for (auto& worker : workers) worker.join();
 }
 
 void Server::stop() {
@@ -74,8 +79,23 @@ void Server::accept_loop() {
       return;  // listener closed
     }
     MutexLock lock(workers_mutex_);
-    workers_.emplace_back([this, fd] { serve_connection(fd); });
+    reap_finished();
+    workers_.emplace_back([this, fd] {
+      serve_connection(fd);
+      MutexLock done(workers_mutex_);
+      finished_.push_back(std::this_thread::get_id());
+    });
   }
+}
+
+void Server::reap_finished() {
+  for (const std::thread::id id : finished_) {
+    const auto it = std::find_if(workers_.begin(), workers_.end(),
+                                 [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();  // it reported itself under this lock: only returning now
+    workers_.erase(it);
+  }
+  finished_.clear();
 }
 
 void Server::serve_connection(int fd) {
@@ -100,7 +120,10 @@ void Server::serve_connection(int fd) {
         served_.fetch_add(1, std::memory_order_release);  // counted before the reply is written
         std::size_t sent = 0;
         while (sent < wire.size()) {
-          const ssize_t n = ::send(fd, wire.data() + sent, wire.size() - sent, 0);
+          // MSG_NOSIGNAL: a peer that reset the connection costs this
+          // connection an EPIPE, not the whole process a SIGPIPE.
+          const ssize_t n =
+              ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
           if (n <= 0) {
             ::close(fd);
             return;
@@ -114,7 +137,7 @@ void Server::serve_connection(int fd) {
       }
     } catch (const std::exception& e) {
       const std::string wire = Response::make(400, e.what()).serialize();
-      (void)::send(fd, wire.data(), wire.size(), 0);
+      (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
       ::close(fd);
       return;
     }

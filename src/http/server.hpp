@@ -49,6 +49,10 @@ class Server {
  private:
   void accept_loop();
   void serve_connection(int fd);
+  /// Joins and forgets every connection thread that reported itself
+  /// finished, so a long-lived server keeps only live threads (and
+  /// their stacks) mapped.
+  void reap_finished() FB_REQUIRES(workers_mutex_);
 
   Handler handler_;
   std::atomic<int> listen_fd_{-1};
@@ -58,6 +62,9 @@ class Server {
   std::thread accept_thread_;
   Mutex workers_mutex_;
   std::vector<std::thread> workers_ FB_GUARDED_BY(workers_mutex_);
+  /// Connection threads that have served their last request; each
+  /// appends its own id as its final act.
+  std::vector<std::thread::id> finished_ FB_GUARDED_BY(workers_mutex_);
 };
 
 }  // namespace faasbatch::http

@@ -17,7 +17,6 @@ ShardInstruments shard_instruments(std::size_t shard) {
       registry.counter(series("fb_dispatch_shard_shed_total", shard)),
       registry.counter(series("fb_dispatch_shard_overflow_total", shard)),
       registry.counter(series("fb_dispatch_shard_windows_total", shard)),
-      registry.counter(series("fb_dispatch_shard_stolen_total", shard)),
       registry.gauge(series("fb_dispatch_shard_depth", shard)),
       registry.gauge(series("fb_dispatch_shard_oldest_age_ms", shard)),
   };

@@ -21,10 +21,6 @@ struct ShardInstruments {
   obs::Counter& shed;       ///< fb_dispatch_shard_shed_total{shard=...}
   obs::Counter& overflow;   ///< fb_dispatch_shard_overflow_total{shard=...}
   obs::Counter& windows;    ///< fb_dispatch_shard_windows_total{shard=...}
-  /// fb_dispatch_shard_stolen_total{shard=...} — items taken from this
-  /// shard by an idle worker's cross-shard steal instead of its own
-  /// window flush.
-  obs::Counter& stolen;
   obs::Gauge& depth;        ///< fb_dispatch_shard_depth{shard=...}
   /// fb_dispatch_shard_oldest_age_ms{shard=...} — age of the oldest entry
   /// still awaiting flush (0 when empty). Refreshed at scrape time by the

@@ -14,9 +14,10 @@
 // `admitting_` to reach zero before its final sweep. Any producer that
 // passed the closed check therefore lands its item before the final
 // drain reads the ring, so a request is either rejected (kClosed) or
-// guaranteed to flush — never accepted-and-lost. This closes the
-// shutdown race the single-queue path historically had (a late invoke()
-// slipping past the draining check into a queue nobody drains).
+// guaranteed to flush — never accepted-and-lost: a late invoke() cannot
+// slip past the draining check into a queue nobody drains.
+//
+// The flush thread is the ring's only consumer.
 #pragma once
 
 #include <atomic>
@@ -57,7 +58,6 @@ struct ShardSnapshot {
   std::uint64_t shed = 0;
   std::uint64_t overflow = 0;  ///< pushes that took the mutex overflow path
   std::uint64_t windows = 0;   ///< flushes performed
-  std::uint64_t stolen = 0;    ///< items taken by cross-shard steals
   /// Enqueue time (clock ns) of the oldest entry still awaiting flush;
   /// kNoPending when the shard is empty. The age (now - oldest_ns) is
   /// the watchdog's second input next to depth: a wedged shard shows a
@@ -82,12 +82,6 @@ class Shard {
     /// beats it once per flush round (the heartbeat contract: beat on
     /// completed drains, never on wakeups).
     obs::Watchdog* watchdog = nullptr;
-    /// Work-stealing hint: a push that leaves depth >= steal_hint_depth
-    /// fires steal_hint (0 = never). The hint is advisory — a lost race
-    /// costs nothing because the next push re-fires it and the window
-    /// flush is the backstop that always drains the shard.
-    std::size_t steal_hint_depth = 0;
-    std::function<void()> steal_hint;
   };
 
   /// Called on the shard thread with everything drained for one window.
@@ -166,10 +160,6 @@ class Shard {
     std::int64_t none = kNoPending;
     oldest_ns_.compare_exchange_strong(none, options_.clock->now().count(),
                                        std::memory_order_relaxed);
-    if (options_.steal_hint_depth > 0 && options_.steal_hint &&
-        depth() >= options_.steal_hint_depth) {
-      options_.steal_hint();
-    }
     // Wake the flush loop only when it is provably idle: the seq_cst
     // published_/sleeping_ pair guarantees either we see sleeping_ and
     // notify, or the loop's wait predicate sees our publish.
@@ -201,41 +191,8 @@ class Shard {
     snap.shed = shed_count_.load(std::memory_order_relaxed);
     snap.overflow = overflow_count_.load(std::memory_order_relaxed);
     snap.windows = windows_count_.load(std::memory_order_relaxed);
-    snap.stolen = stolen_count_.load(std::memory_order_relaxed);
     snap.oldest_ns = oldest_ns_.load(std::memory_order_relaxed);
     return snap;
-  }
-
-  /// Takes up to `max` pending items for an idle worker (the cross-shard
-  /// work-stealing path). Safe from any thread: the shard mutex
-  /// serialises this drain against the flush loop's, so the MPSC ring
-  /// sees one consumer at a time with happens-before through the lock.
-  /// Returns the number taken (0 = nothing to steal).
-  std::size_t try_steal(std::size_t max, std::vector<Item>& out)
-      FB_EXCLUDES(mutex_) {
-    if (max == 0) return 0;
-    MutexLock lock(mutex_);
-    std::size_t taken = 0;
-    Item item;
-    while (taken < max && ring_.try_pop(item)) {
-      out.push_back(std::move(item));
-      ++taken;
-    }
-    while (taken < max && !overflow_.empty()) {
-      out.push_back(std::move(overflow_.front()));
-      overflow_.pop_front();
-      ++taken;
-    }
-    if (taken == 0) return 0;
-    consumed_ += taken;
-    consumed_public_.store(consumed_, std::memory_order_relaxed);
-    instruments_.depth.set(static_cast<double>(depth()));
-    // Same rule as collect_window: survivors' age restarts at the drain.
-    oldest_ns_.store(depth() == 0 ? kNoPending : options_.clock->now().count(),
-                     std::memory_order_relaxed);
-    stolen_count_.fetch_add(taken, std::memory_order_relaxed);
-    instruments_.stolen.inc(taken);
-    return taken;
   }
 
   std::size_t index() const { return options_.index; }
@@ -354,8 +311,8 @@ class Shard {
   std::atomic<bool> sleeping_{false};
   std::atomic<int> admitting_{0};
   std::atomic<std::uint64_t> published_{0};
-  // Consumer-side cursor: touched by the flush loop and by try_steal,
-  // always under mutex_ (the lock is what makes the ring one-consumer).
+  // Consumer-side cursor: touched only by the flush loop, under mutex_
+  // (its cv predicate compares it against published_).
   std::uint64_t consumed_ FB_GUARDED_BY(mutex_) = 0;
   // Racy mirror of consumed_ for depth gauges. fb-atomic-counter
   std::atomic<std::uint64_t> consumed_public_{0};
@@ -365,7 +322,6 @@ class Shard {
   std::atomic<std::uint64_t> shed_count_{0};
   std::atomic<std::uint64_t> overflow_count_{0};
   std::atomic<std::uint64_t> windows_count_{0};
-  std::atomic<std::uint64_t> stolen_count_{0};
   std::atomic<std::int64_t> oldest_ns_{kNoPending};
 
   std::shared_ptr<obs::HeartbeatSource> heartbeat_;

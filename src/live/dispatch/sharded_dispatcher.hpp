@@ -41,15 +41,6 @@ class ShardedDispatcher {
     std::chrono::milliseconds window{0};
     /// Optional stall watchdog shared by every shard and the worker pool.
     obs::Watchdog* watchdog = nullptr;
-    /// Cross-shard work-stealing (0 = disabled): a shard whose depth
-    /// reaches this after a push nudges the pool; an idle worker then
-    /// drains the deepest qualifying shard early instead of waiting out
-    /// its batching window. Trades some batching for tail latency under
-    /// skew — functions hash to shards, so one hot function cannot be
-    /// rebalanced by hashing alone.
-    std::size_t steal_min_depth = 0;
-    /// Max items one steal takes from the victim shard.
-    std::size_t steal_max_batch = 256;
   };
 
   using FlushFn = typename Shard<Item>::FlushFn;
@@ -57,11 +48,7 @@ class ShardedDispatcher {
 
   ShardedDispatcher(const Options& options, FlushFn flush, ExecuteFn execute)
       : pool_(options.workers == 0 ? 2 : options.workers, std::move(execute),
-              options.watchdog, options.clock),
-        flush_(flush),
-        clock_(options.clock),
-        steal_min_depth_(options.steal_min_depth),
-        steal_max_batch_(options.steal_max_batch) {
+              options.watchdog, options.clock) {
     const std::size_t count = options.shards == 0 ? 4 : options.shards;
     shards_.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -72,14 +59,7 @@ class ShardedDispatcher {
       shard_options.clock = options.clock;
       shard_options.window = options.window;
       shard_options.watchdog = options.watchdog;
-      if (steal_min_depth_ > 0) {
-        shard_options.steal_hint_depth = steal_min_depth_;
-        shard_options.steal_hint = [this] { pool_.nudge(); };
-      }
       shards_.push_back(std::make_unique<Shard<Item>>(shard_options, flush));
-    }
-    if (steal_min_depth_ > 0) {
-      pool_.set_steal_fn([this] { return steal_once(); });
     }
   }
 
@@ -129,33 +109,7 @@ class ShardedDispatcher {
   }
 
  private:
-  /// One steal round, run by an idle worker: drain the deepest shard at
-  /// or above the threshold and hand its items to the same flush
-  /// callback a window flush would use (so batching, accounting, and
-  /// submit() behave identically). Returns false when nothing qualified.
-  bool steal_once() {
-    std::size_t victim = 0, deepest = 0;
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const std::size_t depth = shards_[i]->snapshot().depth;
-      if (depth > deepest) {
-        deepest = depth;
-        victim = i;
-      }
-    }
-    if (deepest < steal_min_depth_) return false;
-    std::vector<Item> items;
-    if (shards_[victim]->try_steal(steal_max_batch_, items) == 0) return false;
-    const ClockTime now = clock_->now();
-    // A steal is a zero-length window: open == close.
-    flush_(victim, std::move(items), now, now);
-    return true;
-  }
-
   WorkerPool<Batch> pool_;
-  FlushFn flush_;
-  Clock* clock_ = nullptr;
-  std::size_t steal_min_depth_ = 0;
-  std::size_t steal_max_batch_ = 256;
   std::vector<std::unique_ptr<Shard<Item>>> shards_;
 };
 

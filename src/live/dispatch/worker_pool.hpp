@@ -2,23 +2,13 @@
 //
 // Shards push one Batch per window flush and issue exactly one
 // notify_one per push — completion wakeups are batched at window
-// granularity instead of per-invocation, which is the main reason the
-// sharded pipeline scales past the single-queue dispatcher (the legacy
-// path pays a mutex round-trip and a wakeup for every request).
+// granularity instead of per-invocation, so a burst of arrivals costs
+// one mutex round-trip and one wakeup per window, not per request.
 //
 // stop() is graceful: workers finish every batch already queued before
 // exiting, so a platform drain never strands work here.
-//
-// Work-stealing: an idle worker is wasted capacity while some shard sits
-// on a deep backlog waiting out its batching window. When a steal
-// callback is installed (set_steal_fn) a shard's steal hint nudge()s the
-// pool; an idle worker then runs the callback — which drains the deepest
-// shard early — instead of sleeping. The nudge is advisory and racy by
-// design: a lost hint is repaired by the next enqueue, and the window
-// flush remains the correctness backstop.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -37,10 +27,6 @@ template <typename Batch>
 class WorkerPool {
  public:
   using ExecuteFn = std::function<void(Batch&&)>;
-  /// Steal callback: attempt one steal, return true if work was produced
-  /// (typically via push()). Runs on a worker thread with no pool locks
-  /// held, so it may push() freely.
-  using StealFn = std::function<bool()>;
 
   /// `watchdog` (with its `clock`) is optional: when set, the pool
   /// registers one "workers" heartbeat source whose depth is the shared
@@ -81,27 +67,6 @@ class WorkerPool {
     cv_.notify_one();
   }
 
-  /// Installs the steal callback. Call before the first nudge(); the
-  /// workers copy it under the pool lock at each use.
-  void set_steal_fn(StealFn steal) FB_EXCLUDES(mutex_) {
-    MutexLock lock(mutex_);
-    steal_ = std::move(steal);
-  }
-
-  /// Advisory wakeup from a backlogged shard: if any worker is idle,
-  /// flag a steal round and wake one. O(1) no-op when all workers are
-  /// busy — the hot enqueue path pays one relaxed load.
-  void nudge() FB_EXCLUDES(mutex_) {
-    // Racy idle check by design: a missed wakeup here is repaired by the
-    // next enqueue's hint or the window flush. fb-lint-allow(atomic-order)
-    if (idle_.load(std::memory_order_relaxed) == 0) return;
-    {
-      MutexLock lock(mutex_);
-      steal_hint_ = true;
-    }
-    cv_.notify_one();
-  }
-
   /// Stops accepting work and joins; queued batches still execute.
   void stop() FB_EXCLUDES(mutex_) {
     {
@@ -138,22 +103,10 @@ class WorkerPool {
         continue;
       }
       if (stopping_) return;
-      if (steal_hint_ && steal_) {
-        // Consume the hint before stealing so a concurrent nudge during
-        // the attempt re-arms it rather than being swallowed.
-        steal_hint_ = false;
-        StealFn steal = steal_;
-        lock.unlock();
-        steal();  // success lands batches via push(); re-check the queue
-        lock.lock();
-        continue;
-      }
-      idle_.fetch_add(1, std::memory_order_relaxed);
       cv_.wait(lock, [this] {
         mutex_.assert_held();  // predicates run with the pool lock held
-        return stopping_ || !queue_.empty() || (steal_hint_ && steal_);
+        return stopping_ || !queue_.empty();
       });
-      idle_.fetch_sub(1, std::memory_order_relaxed);
     }
   }
 
@@ -165,11 +118,6 @@ class WorkerPool {
   CondVar cv_;
   std::deque<Batch> queue_ FB_GUARDED_BY(mutex_);
   bool stopping_ FB_GUARDED_BY(mutex_) = false;
-  StealFn steal_ FB_GUARDED_BY(mutex_);
-  bool steal_hint_ FB_GUARDED_BY(mutex_) = false;
-  /// Workers currently parked in the cv wait; nudge()'s early-out.
-  /// fb-atomic-counter
-  std::atomic<std::size_t> idle_{0};
   std::vector<std::thread> threads_;
 };
 

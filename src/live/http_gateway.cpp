@@ -113,9 +113,8 @@ HttpGateway::HttpGateway(LivePlatform& platform, GatewayOptions options)
   // The flight recorder is the always-on black box: a served platform
   // keeps it recording so an incident dump has history to show.
   obs::flight().set_enabled(true);
-  // Per-shard dispatch series (sharded pipeline only): registering them
-  // up front makes shard queue-depth gauges scrapeable from the first
-  // request.
+  // Per-shard dispatch series: registering them up front makes shard
+  // queue-depth gauges scrapeable from the first request.
   const DispatchStats dispatch = platform_.dispatch_stats();
   for (std::size_t shard = 0; shard < dispatch.shards; ++shard) {
     dispatch::shard_instruments(shard);
@@ -355,8 +354,6 @@ http::Response HttpGateway::handle_stats() const {
   const DispatchStats dispatch = refresh_dispatch_gauges();
   const std::int64_t now_ns = platform_.clock().now().count();
   Json dispatch_body;
-  dispatch_body["mode"] =
-      dispatch.mode == DispatchMode::kSharded ? "sharded" : "single_queue";
   dispatch_body["shards"] = static_cast<std::int64_t>(dispatch.shards);
   dispatch_body["workers"] = static_cast<std::int64_t>(dispatch.workers);
   Json shard_list{JsonArray{}};

@@ -91,9 +91,9 @@ void observe_function_quantiles(const std::string& function, double queue_ms,
 /// Consecutive sheds that declare a shed storm (one incident per burst).
 constexpr std::uint32_t kShedBurstIncident = 32;
 
-// Single open/close points for the per-request span: both admission
-// paths open it here and every terminal path (executed or settled
-// unexecuted) ends it, so the TU stays span-balanced by construction.
+// Single open/close points for the per-request span: admission opens it
+// here and every terminal path (executed, settled unexecuted, or
+// unadmitted) ends it, so the TU stays span-balanced by construction.
 void begin_request_span(double at_us, std::uint64_t id, const std::string& function) {
   // The derived root span id links this request's trace to its flight-
   // recorder events (and, in the simulator, to every retry attempt).
@@ -121,42 +121,28 @@ LivePlatform::LivePlatform(LivePlatformOptions options)
   if (options_.container.clock == nullptr) options_.container.clock = clock_;
   watchdog_.set_stall_threshold_ns(
       std::chrono::duration_cast<ClockTime>(options_.stall_threshold).count());
-  if (options_.dispatch == DispatchMode::kSharded) {
-    Dispatcher::Options dispatch_options;
-    dispatch_options.shards =
-        options_.shards == 0 ? kDefaultShards : options_.shards;
-    dispatch_options.workers = options_.dispatch_workers == 0
-                                   ? kDefaultDispatchWorkers
-                                   : options_.dispatch_workers;
-    dispatch_options.ring_capacity = options_.shard_ring_capacity == 0
-                                         ? kDefaultShardRingCapacity
-                                         : options_.shard_ring_capacity;
-    dispatch_options.max_queue = options_.max_queue;
-    dispatch_options.clock = clock_;
-    dispatch_options.watchdog = &watchdog_;
-    // Vanilla dispatches on arrival: a zero window flushes immediately.
-    dispatch_options.window = options_.policy == LivePolicy::kFaasBatch
-                                  ? options_.window
-                                  : std::chrono::milliseconds(0);
-    dispatch_options.steal_min_depth = options_.steal_min_depth;
-    dispatch_options.steal_max_batch = options_.steal_max_batch;
-    sharded_ = std::make_unique<Dispatcher>(
-        dispatch_options,
-        [this](std::size_t shard, std::vector<RequestPtr> items,
-               ClockTime window_open, ClockTime window_close) {
-          flush_shard(shard, std::move(items), window_open, window_close);
-        },
-        [this](FlushedBatch&& batch) { execute_batch(std::move(batch)); });
-  } else {
-    queue_heartbeat_ = watchdog_.register_source(
-        "dispatcher",
-        [this] {
-          MutexLock lock(mutex_);
-          return static_cast<double>(queue_.size());
-        },
-        clock_->now().count());
-    dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  }
+  Dispatcher::Options dispatch_options;
+  dispatch_options.shards = options_.shards == 0 ? kDefaultShards : options_.shards;
+  dispatch_options.workers = options_.dispatch_workers == 0
+                                 ? kDefaultDispatchWorkers
+                                 : options_.dispatch_workers;
+  dispatch_options.ring_capacity = options_.shard_ring_capacity == 0
+                                       ? kDefaultShardRingCapacity
+                                       : options_.shard_ring_capacity;
+  dispatch_options.max_queue = options_.max_queue;
+  dispatch_options.clock = clock_;
+  dispatch_options.watchdog = &watchdog_;
+  // Vanilla dispatches on arrival: a zero window flushes immediately.
+  dispatch_options.window = options_.policy == LivePolicy::kFaasBatch
+                                ? options_.window
+                                : std::chrono::milliseconds(0);
+  sharded_ = std::make_unique<Dispatcher>(
+      dispatch_options,
+      [this](std::size_t shard, std::vector<RequestPtr> items,
+             ClockTime window_open, ClockTime window_close) {
+        flush_shard(shard, std::move(items), window_open, window_close);
+      },
+      [this](FlushedBatch&& batch) { execute_batch(std::move(batch)); });
 }
 
 LivePlatform::~LivePlatform() {
@@ -165,38 +151,18 @@ LivePlatform::~LivePlatform() {
   // window timer while invocations sit queued.
   shutdown();
   drain();
-  if (sharded_ != nullptr) {
-    // Shard flush threads and workers join only after drain(): the
-    // workers are what retire outstanding invocations.
-    sharded_->join();
-  }
-  if (dispatcher_.joinable()) {
-    {
-      MutexLock lock(mutex_);
-      stopping_ = true;
-    }
-    queue_cv_.notify_all();
-    dispatcher_.join();
-  }
-  if (queue_heartbeat_ != nullptr) {
-    // depth_fn captures `this`; leave the watchdog before member teardown.
-    watchdog_.unregister(queue_heartbeat_);
-  }
+  // Shard flush threads and workers join only after drain(): the workers
+  // are what retire outstanding invocations.
+  sharded_->join();
   // Containers drain in their destructors.
 }
 
 void LivePlatform::shutdown() {
   draining_.store(true, std::memory_order_seq_cst);
-  if (sharded_ != nullptr) {
-    // Atomically closes admission on every shard and triggers their
-    // final drain sweeps; a racing invoke() either landed before the
-    // close (and will flush) or resolves kCancelled.
-    sharded_->close();
-  }
-  {
-    MutexLock lock(mutex_);
-  }
-  queue_cv_.notify_all();
+  // Atomically closes admission on every shard and triggers their final
+  // drain sweeps; a racing invoke() either landed before the close (and
+  // will flush) or resolves kCancelled.
+  sharded_->close();
 }
 
 void LivePlatform::register_function(const std::string& name, FunctionHandler handler) {
@@ -232,9 +198,7 @@ std::future<InvocationReport> LivePlatform::invoke(const std::string& name,
   request->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   live_requests_total().inc();
   std::future<InvocationReport> future = request->promise.get_future();
-  const InvocationStatus verdict = options_.dispatch == DispatchMode::kSharded
-                                       ? admit_sharded(request)
-                                       : admit_single_queue(request);
+  const InvocationStatus verdict = admit(request);
   if (verdict == InvocationStatus::kOk) {
     // Any successful admission ends a shed burst.
     shed_streak_.store(0, std::memory_order_relaxed);
@@ -269,7 +233,7 @@ std::future<InvocationReport> LivePlatform::invoke(const std::string& name,
   return future;
 }
 
-InvocationStatus LivePlatform::admit_sharded(const RequestPtr& request) {
+InvocationStatus LivePlatform::admit(const RequestPtr& request) {
   if (draining_.load(std::memory_order_acquire)) {
     return InvocationStatus::kCancelled;
   }
@@ -306,25 +270,6 @@ void LivePlatform::unadmit(const RequestPtr& request) {
   finish_one();
 }
 
-InvocationStatus LivePlatform::admit_single_queue(const RequestPtr& request) {
-  {
-    MutexLock lock(mutex_);
-    if (draining_.load(std::memory_order_acquire)) {
-      return InvocationStatus::kCancelled;
-    }
-    if (options_.max_queue > 0 && queue_.size() >= options_.max_queue) {
-      return InvocationStatus::kShed;
-    }
-    outstanding_.fetch_add(1, std::memory_order_acq_rel);
-    if (obs::tracer().enabled()) {
-      begin_request_span(us_of(request->submitted), request->id, request->function);
-    }
-    queue_.push_back(request);
-  }
-  queue_cv_.notify_all();
-  return InvocationStatus::kOk;
-}
-
 void LivePlatform::drain() {
   UniqueLock lock(mutex_);
   drain_cv_.wait(lock, [this] {
@@ -350,12 +295,9 @@ std::uint64_t LivePlatform::containers_created() const {
 
 DispatchStats LivePlatform::dispatch_stats() const {
   DispatchStats stats;
-  stats.mode = options_.dispatch;
-  if (sharded_ != nullptr) {
-    stats.shards = sharded_->shards();
-    stats.workers = sharded_->workers();
-    stats.shard_stats = sharded_->snapshots();
-  }
+  stats.shards = sharded_->shards();
+  stats.workers = sharded_->workers();
+  stats.shard_stats = sharded_->snapshots();
   return stats;
 }
 
@@ -368,16 +310,7 @@ LiveContainer& LivePlatform::container_for(const std::string& function) {
     live_warm_hits_total().inc();
     return *container;
   }
-  all_containers_.push_back(
-      std::make_unique<LiveContainer>(function, options_.container));
-  ++containers_created_;
-  live_cold_starts_total().inc();
-  if (obs::tracer().enabled()) {
-    obs::tracer().instant("container", "container_create", us_of(clock_->now()),
-                          obs::kContainerTrackBase + containers_created_,
-                          {{"function", Json(function)}});
-  }
-  return *all_containers_.back();
+  return create_container(function);
 }
 
 LiveContainer& LivePlatform::batch_container_for(const std::string& function) {
@@ -392,6 +325,12 @@ LiveContainer& LivePlatform::batch_container_for(const std::string& function) {
       return *candidate;
     }
   }
+  LiveContainer& chosen = create_container(function);
+  pool.push_back(&chosen);
+  return chosen;
+}
+
+LiveContainer& LivePlatform::create_container(const std::string& function) {
   all_containers_.push_back(
       std::make_unique<LiveContainer>(function, options_.container));
   ++containers_created_;
@@ -401,9 +340,7 @@ LiveContainer& LivePlatform::batch_container_for(const std::string& function) {
                           obs::kContainerTrackBase + containers_created_,
                           {{"function", Json(function)}});
   }
-  LiveContainer* chosen = all_containers_.back().get();
-  pool.push_back(chosen);
-  return *chosen;
+  return *all_containers_.back();
 }
 
 void LivePlatform::settle_unexecuted(const RequestPtr& request,
@@ -562,91 +499,6 @@ void LivePlatform::execute_batch(FlushedBatch&& batch) {
     }
     for (auto& request : requests) {
       run_request(*chosen, std::move(request));
-    }
-  }
-}
-
-void LivePlatform::dispatcher_loop() {
-  while (true) {
-    // Requests whose deadline passed before dispatch; settled after the
-    // lock drops (promise resolution never runs under mutex_).
-    std::vector<RequestPtr> expired;
-    UniqueLock lock(mutex_);
-    queue_cv_.wait(lock, [this] {
-      mutex_.assert_held();  // predicates run with the caller's lock held
-      return stopping_ || !queue_.empty();
-    });
-    if (stopping_ && queue_.empty()) return;
-
-    if (options_.policy == LivePolicy::kVanilla) {
-      // Dispatch everything queued, one container per invocation.
-      while (!queue_.empty()) {
-        auto request = std::move(queue_.front());
-        queue_.pop_front();
-        if (clock_->now() >= request->deadline) {
-          expired.push_back(std::move(request));
-          continue;
-        }
-        LiveContainer& container = container_for(request->function);
-        run_request(container, std::move(request));
-      }
-      lock.unlock();
-      // Beat only after a completed dispatch round (heartbeat contract:
-      // progress, not liveness — a wedged loop must stop beating).
-      if (queue_heartbeat_ != nullptr) {
-        queue_heartbeat_->beat(clock_->now().count());
-      }
-      for (const auto& request : expired) {
-        settle_unexecuted(request, InvocationStatus::kDeadlineExpired);
-      }
-      continue;
-    }
-
-    // FaaSBatch: let the window fill, then flush groups per function —
-    // the live analogue of the Invoke Mapper + Inline-Parallel Producer.
-    // The wait goes through the injected clock, so tests advance a
-    // VirtualClock to close the window deterministically instead of
-    // sleeping. A draining platform flushes immediately: shutdown() must
-    // not wait out the window timer.
-    const ClockTime window_open = clock_->now();
-    const ClockTime window_deadline =
-        window_open + std::chrono::duration_cast<ClockTime>(options_.window);
-    clock_->wait_until(lock, queue_cv_, window_deadline, [this] {
-      mutex_.assert_held();  // predicates run with the caller's lock held
-      return stopping_ || draining_.load(std::memory_order_acquire);
-    });
-    const ClockTime window_close = clock_->now();
-    std::deque<RequestPtr> batch;
-    batch.swap(queue_);
-    std::map<std::string, std::vector<RequestPtr>> groups;
-    for (auto& request : batch) {
-      if (window_close >= request->deadline) {
-        expired.push_back(std::move(request));
-        continue;
-      }
-      groups[request->function].push_back(std::move(request));
-    }
-    live_windows_flushed_total().inc();
-    if (obs::tracer().enabled() && !groups.empty()) {
-      obs::tracer().complete(
-          "dispatch", "dispatch_window", us_of(window_open),
-          us_of(window_close) - us_of(window_open), /*tid=*/0,
-          {{"invocations", Json(static_cast<std::int64_t>(batch.size()))},
-           {"groups", Json(static_cast<std::int64_t>(groups.size()))}});
-    }
-    for (auto& [function, requests] : groups) {
-      live_batch_size().observe(static_cast<double>(requests.size()));
-      LiveContainer& chosen = batch_container_for(function);
-      for (auto& request : requests) {
-        run_request(chosen, std::move(request));
-      }
-    }
-    lock.unlock();
-    if (queue_heartbeat_ != nullptr) {
-      queue_heartbeat_->beat(clock_->now().count());
-    }
-    for (const auto& request : expired) {
-      settle_unexecuted(request, InvocationStatus::kDeadlineExpired);
     }
   }
 }

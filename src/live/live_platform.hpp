@@ -7,29 +7,21 @@
 // runnable inside any process. Used by the examples and the live
 // motivation benchmarks.
 //
-// Two dispatch pipelines are available (LivePlatformOptions::dispatch):
-//
-//  - kSharded (default): arrivals hash by function name onto N
-//    shard-local lock-free MPSC rings; each shard runs its own window
-//    flush loop and hands batches to a pull-based worker pool with one
-//    wakeup per flushed batch. invoke() never takes the platform mutex
-//    on the happy path.
-//  - kSingleQueue: the original single mutex-guarded queue with one
-//    dispatcher thread. Kept selectable for differential comparison
-//    (see tests/chaos_differential_test.cpp and bench/bench_dispatch).
+// Dispatch pipeline: arrivals hash by function name onto N shard-local
+// lock-free MPSC rings; each shard runs its own window flush loop and
+// hands batches to a pull-based worker pool with one wakeup per flushed
+// batch. invoke() never takes the platform mutex on the happy path.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -85,15 +77,7 @@ enum class LivePolicy {
   kFaasBatch,
 };
 
-/// Which arrival pipeline carries invoke() calls to containers.
-enum class DispatchMode {
-  /// Original single mutex-guarded queue and dispatcher thread.
-  kSingleQueue,
-  /// Sharded lock-free pipeline (default).
-  kSharded,
-};
-
-/// Defaults for the sharded pipeline (option value 0 selects them).
+/// Defaults for the dispatch pipeline (option value 0 selects them).
 inline constexpr std::size_t kDefaultShards = 4;
 inline constexpr std::size_t kDefaultDispatchWorkers = 2;
 inline constexpr std::size_t kDefaultShardRingCapacity = 8192;
@@ -110,14 +94,13 @@ struct LivePlatformOptions {
   Clock* clock = nullptr;
   /// Bounded admission: invoke() sheds (future resolves immediately with
   /// InvocationStatus::kShed) when this many requests are already queued
-  /// for dispatch. 0 = unbounded. Under kSharded the bound applies per
-  /// shard — requests of one function always share a shard, so the
-  /// single-function backpressure semantics match the single queue.
+  /// on the request's shard. 0 = unbounded. The bound applies per shard:
+  /// requests of one function always share a shard, so one function never
+  /// sees more than max_queue pending, while functions on other shards
+  /// keep their own headroom.
   std::size_t max_queue = 0;
 
-  /// Arrival pipeline; see DispatchMode.
-  DispatchMode dispatch = DispatchMode::kSharded;
-  /// Shard count for kSharded; 0 = kDefaultShards.
+  /// Shard count; 0 = kDefaultShards.
   std::size_t shards = 0;
   /// Worker threads draining flushed batches; 0 = kDefaultDispatchWorkers.
   std::size_t dispatch_workers = 0;
@@ -125,14 +108,6 @@ struct LivePlatformOptions {
   /// spill past the ring into a mutex-guarded side queue, never shed);
   /// 0 = kDefaultShardRingCapacity.
   std::size_t shard_ring_capacity = 0;
-  /// Cross-shard work-stealing for kSharded (0 = off): a shard whose
-  /// depth reaches this after an enqueue nudges the dispatch workers; an
-  /// idle worker drains the deepest qualifying shard early instead of
-  /// waiting out the batching window. Off by default — stealing trades
-  /// batch density for tail latency and only pays under skewed load.
-  std::size_t steal_min_depth = 0;
-  /// Max items one steal takes from the victim shard.
-  std::size_t steal_max_batch = 256;
 
   /// Stall-watchdog threshold: a dispatch loop with pending work and no
   /// heartbeat for this long is reported unhealthy. Must exceed the
@@ -143,10 +118,9 @@ struct LivePlatformOptions {
 
 /// Point-in-time dispatch pipeline stats (gateway /stats, tests).
 struct DispatchStats {
-  DispatchMode mode = DispatchMode::kSharded;
   std::size_t shards = 0;
   std::size_t workers = 0;
-  /// Per-shard counters; empty in kSingleQueue mode.
+  /// Per-shard counters, one entry per shard.
   std::vector<dispatch::ShardSnapshot> shard_stats;
 };
 
@@ -154,7 +128,7 @@ class LivePlatform {
  public:
   explicit LivePlatform(LivePlatformOptions options);
 
-  /// Stops the dispatcher and tears down all containers.
+  /// Drains the dispatch pipeline and tears down all containers.
   ~LivePlatform();
 
   LivePlatform(const LivePlatform&) = delete;
@@ -196,9 +170,9 @@ class LivePlatform {
   /// Dispatch pipeline shape and per-shard activity.
   DispatchStats dispatch_stats() const;
 
-  /// Stall watchdog over the dispatch pipeline (shards, worker pool, the
-  /// single-queue dispatcher). Scan it with now() from clock() — the
-  /// gateway's /healthz does exactly that.
+  /// Stall watchdog over the dispatch pipeline: one source per shard
+  /// flush loop plus one for the worker pool. Scan it with now() from
+  /// clock() — the gateway's /healthz does exactly that.
   obs::Watchdog& watchdog() { return watchdog_; }
   const obs::Watchdog& watchdog() const { return watchdog_; }
 
@@ -233,14 +207,11 @@ class LivePlatform {
   using Dispatcher = dispatch::ShardedDispatcher<RequestPtr, FlushedBatch>;
 
   // -- admission -----------------------------------------------------
-  InvocationStatus admit_sharded(const RequestPtr& request);
-  InvocationStatus admit_single_queue(const RequestPtr& request)
-      FB_EXCLUDES(mutex_);
-  /// Unwinds a failed sharded admission (span + outstanding count).
+  InvocationStatus admit(const RequestPtr& request);
+  /// Unwinds a failed admission (span + outstanding count).
   void unadmit(const RequestPtr& request);
 
   // -- dispatch ------------------------------------------------------
-  void dispatcher_loop() FB_EXCLUDES(mutex_);  // kSingleQueue thread body
   /// Shard flush callback: expire deadlines, group by function, hand one
   /// batch to the worker pool. Runs on the shard's flush thread.
   void flush_shard(std::size_t shard, std::vector<RequestPtr> items,
@@ -257,6 +228,10 @@ class LivePlatform {
   /// group). Caller holds mutex_ (compiler-checked).
   LiveContainer& batch_container_for(const std::string& function)
       FB_REQUIRES(mutex_);
+  /// Cold start: creates, owns and counts a fresh container of the
+  /// function. Both placement policies call it on a warm-pool miss.
+  LiveContainer& create_container(const std::string& function)
+      FB_REQUIRES(mutex_);
   /// Resolves a queued request's future without running its handler
   /// (deadline expiry) and settles drain bookkeeping. Must be called
   /// WITHOUT holding mutex_ (compiler-checked): it resolves promises,
@@ -272,9 +247,7 @@ class LivePlatform {
   storage::ClientFactory clients_;
 
   mutable Mutex mutex_;
-  CondVar queue_cv_;
   CondVar drain_cv_;
-  std::deque<RequestPtr> queue_ FB_GUARDED_BY(mutex_);  // kSingleQueue only
   /// Copy-on-write registration snapshot: invoke() resolves handlers
   /// lock-free (acquire load); register_function swaps in a new map
   /// (release store) under mutex_.
@@ -297,14 +270,11 @@ class LivePlatform {
   /// kShedBurstIncident triggers one flight-recorder incident per burst.
   /// fb-atomic-counter
   std::atomic<std::uint32_t> shed_streak_{0};
-  bool stopping_ FB_GUARDED_BY(mutex_) = false;  // kSingleQueue only
-  /// Declared before the pipelines: shards, the worker pool, and the
-  /// single-queue heartbeat all unregister their sources on teardown and
-  /// must do so into a still-alive watchdog.
+  /// Declared before the pipeline: the shards and the worker pool
+  /// unregister their sources on teardown and must do so into a
+  /// still-alive watchdog.
   obs::Watchdog watchdog_;
-  std::shared_ptr<obs::HeartbeatSource> queue_heartbeat_;  // kSingleQueue
-  std::unique_ptr<Dispatcher> sharded_;  // kSharded pipeline
-  std::thread dispatcher_;               // kSingleQueue thread
+  std::unique_ptr<Dispatcher> sharded_;
 };
 
 }  // namespace faasbatch::live

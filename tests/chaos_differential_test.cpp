@@ -136,14 +136,15 @@ TEST(ChaosDifferentialTest, FuzzedFaultPlansAreDeterministic) {
 }
 
 // -----------------------------------------------------------------------
-// Live sharded-vs-single-queue equivalence
+// Live dispatch against an exact oracle
 //
-// The live platform's two dispatch pipelines must be observationally
-// equivalent: the same seeded fuzzed workload, with a FaultPlan deciding
-// (in fixed submission order) which invocations are doomed by a too-short
-// deadline, must produce identical terminal Outcome accounting on both
-// paths. All timing is virtual, so the doomed/healthy split is decided by
-// clock arithmetic, not scheduling.
+// A seeded fuzzed workload, with a FaultPlan deciding (in fixed
+// submission order) which invocations are doomed by a too-short deadline,
+// must produce terminal Outcome counts that follow from the plan alone.
+// Every submission happens at virtual time 0 and a doomed one carries a
+// 5 ms deadline against the 15 ms window, so the doomed/healthy split is
+// decided by clock arithmetic, not scheduling: the counts are exact on
+// one shard (a single queue) and on the default shard count alike.
 // -----------------------------------------------------------------------
 
 struct LiveOutcomeCounts {
@@ -168,7 +169,14 @@ void tally(std::vector<std::future<live::InvocationReport>>& futures,
   }
 }
 
-LiveOutcomeCounts run_live_chaos(live::DispatchMode mode, std::uint64_t seed) {
+struct LiveChaosRun {
+  std::uint64_t submitted = 0;  ///< workload invocations, before shutdown
+  std::uint64_t doomed = 0;     ///< of those, sent with the 5 ms deadline
+  LiveOutcomeCounts outcomes;   ///< including the 3 post-shutdown invokes
+};
+
+/// `shards` = 0 selects the platform default.
+LiveChaosRun run_live_chaos(std::size_t shards, std::uint64_t seed) {
   FuzzerOptions fuzz;
   fuzz.min_invocations = 40;
   fuzz.max_invocations = 80;
@@ -177,8 +185,7 @@ LiveOutcomeCounts run_live_chaos(live::DispatchMode mode, std::uint64_t seed) {
 
   // The fault stream decides, deterministically per (plan, order), which
   // submissions carry a 5 ms deadline — far shorter than the 15 ms
-  // window, so every doomed invocation expires at its window flush on
-  // either pipeline.
+  // window, so every doomed invocation expires at its window flush.
   resilience::FaultPlan plan;
   plan.seed = seed * 977 + 13;
   plan.exec_error_rate = 0.25;
@@ -188,12 +195,13 @@ LiveOutcomeCounts run_live_chaos(live::DispatchMode mode, std::uint64_t seed) {
   live::LivePlatformOptions options;
   options.policy = live::LivePolicy::kFaasBatch;
   options.window = std::chrono::milliseconds(15);
-  options.dispatch = mode;
+  options.shards = shards;
   options.clock = &clock;
   options.container.threads = 2;
   options.container.cold_start_work_ms = 0.5;
   live::LivePlatform platform(options);
 
+  LiveChaosRun run;
   std::atomic<std::uint64_t> ran{0};
   for (const auto& profile : workload.functions) {
     platform.register_function(profile.name,
@@ -202,8 +210,10 @@ LiveOutcomeCounts run_live_chaos(live::DispatchMode mode, std::uint64_t seed) {
 
   std::vector<std::future<live::InvocationReport>> futures;
   futures.reserve(workload.events.size() + 3);
+  run.submitted = workload.events.size();
   for (const auto& event : workload.events) {
     const bool doomed = injector.inject_exec_error();
+    if (doomed) ++run.doomed;
     futures.push_back(platform.invoke(
         workload.functions[event.function].name, "",
         doomed ? std::chrono::milliseconds(5) : std::chrono::milliseconds(0)));
@@ -227,17 +237,16 @@ LiveOutcomeCounts run_live_chaos(live::DispatchMode mode, std::uint64_t seed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));  // fb-lint-allow(raw-clock)
   }
 
-  // Post-shutdown invokes must cancel identically on both paths.
+  // Post-shutdown invokes must cancel.
   platform.shutdown();
   for (int i = 0; i < 3; ++i) {
     futures.push_back(platform.invoke(workload.functions[0].name));
   }
   platform.drain();
 
-  LiveOutcomeCounts counts;
-  tally(futures, counts);
-  EXPECT_EQ(counts.ok, ran.load()) << "every kOk must have executed exactly once";
-  return counts;
+  tally(futures, run.outcomes);
+  EXPECT_EQ(run.outcomes.ok, ran.load()) << "every kOk must have executed exactly once";
+  return run;
 }
 
 class LiveDispatchEquivalenceTest
@@ -245,53 +254,50 @@ class LiveDispatchEquivalenceTest
 
 TEST_P(LiveDispatchEquivalenceTest, ShardedMatchesSingleQueueUnderChaos) {
   const std::uint64_t seed = GetParam();
-  const LiveOutcomeCounts sharded =
-      run_live_chaos(live::DispatchMode::kSharded, seed);
-  const LiveOutcomeCounts single =
-      run_live_chaos(live::DispatchMode::kSingleQueue, seed);
-  EXPECT_EQ(sharded.ok, single.ok) << "seed " << seed;
-  EXPECT_EQ(sharded.shed, single.shed) << "seed " << seed;
-  EXPECT_EQ(sharded.expired, single.expired) << "seed " << seed;
-  EXPECT_EQ(sharded.cancelled, single.cancelled) << "seed " << seed;
-  // The workload actually exercised both classes.
-  EXPECT_GT(sharded.ok, 0u) << "seed " << seed;
-  EXPECT_GT(sharded.expired, 0u) << "seed " << seed;
-  EXPECT_EQ(sharded.cancelled, 3u) << "seed " << seed;
+  // One shard is the single queue; 0 is the default sharded pipeline.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{0}}) {
+    const LiveChaosRun run = run_live_chaos(shards, seed);
+    // The workload exercised both classes.
+    EXPECT_GT(run.doomed, 0u) << "seed " << seed;
+    EXPECT_LT(run.doomed, run.submitted) << "seed " << seed;
+    EXPECT_EQ(run.outcomes.ok, run.submitted - run.doomed)
+        << "seed " << seed << " shards " << shards;
+    EXPECT_EQ(run.outcomes.expired, run.doomed)
+        << "seed " << seed << " shards " << shards;
+    EXPECT_EQ(run.outcomes.shed, 0u) << "seed " << seed << " shards " << shards;
+    EXPECT_EQ(run.outcomes.cancelled, 3u) << "seed " << seed << " shards " << shards;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveDispatchEquivalenceTest,
                          ::testing::Values<std::uint64_t>(3, 11, 27));
 
 TEST(LiveDispatchEquivalenceTest, BoundedSheddingMatchesWithOneShard) {
-  // Shed equivalence: max_queue bounds the single queue globally and the
-  // sharded pipeline per shard, so with shards=1 the two must agree
-  // exactly. The virtual clock never advances, pinning every request in
-  // the open window while later ones overflow the bound.
-  for (const live::DispatchMode mode :
-       {live::DispatchMode::kSharded, live::DispatchMode::kSingleQueue}) {
-    VirtualClock clock;
-    live::LivePlatformOptions options;
-    options.policy = live::LivePolicy::kFaasBatch;
-    options.window = std::chrono::milliseconds(15);
-    options.dispatch = mode;
-    options.shards = 1;
-    options.max_queue = 3;
-    options.clock = &clock;
-    options.container.threads = 2;
-    options.container.cold_start_work_ms = 0.5;
-    live::LivePlatform platform(options);
-    platform.register_function("f", [](live::FunctionContext&) {});
+  // Exact shed accounting: with one shard, max_queue bounds the whole
+  // platform like a single global queue. The virtual clock never
+  // advances, pinning every request in the open window while later ones
+  // overflow the bound.
+  VirtualClock clock;
+  live::LivePlatformOptions options;
+  options.policy = live::LivePolicy::kFaasBatch;
+  options.window = std::chrono::milliseconds(15);
+  options.shards = 1;
+  options.max_queue = 3;
+  options.clock = &clock;
+  options.container.threads = 2;
+  options.container.cold_start_work_ms = 0.5;
+  live::LivePlatform platform(options);
+  platform.register_function("f", [](live::FunctionContext&) {});
 
-    std::vector<std::future<live::InvocationReport>> futures;
-    for (int i = 0; i < 10; ++i) futures.push_back(platform.invoke("f"));
-    platform.shutdown();  // flushes the open window immediately
-    platform.drain();
+  std::vector<std::future<live::InvocationReport>> futures;
+  for (int i = 0; i < 10; ++i) futures.push_back(platform.invoke("f"));
+  platform.shutdown();  // flushes the open window immediately
+  platform.drain();
 
-    LiveOutcomeCounts counts;
-    tally(futures, counts);
-    EXPECT_EQ(counts.ok, 3u) << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(counts.shed, 7u) << "mode " << static_cast<int>(mode);
-  }
+  LiveOutcomeCounts counts;
+  tally(futures, counts);
+  EXPECT_EQ(counts.ok, 3u);
+  EXPECT_EQ(counts.shed, 7u);
 }
 
 TEST(ChaosDifferentialTest, FuzzedPlansMixFaultFreeAndFaulty) {

@@ -171,7 +171,6 @@ TEST(FlightRecorderTest, ShedBurstTriggersOneIncident) {
   live::LivePlatformOptions options;
   options.policy = live::LivePolicy::kFaasBatch;
   options.clock = &clock;
-  options.dispatch = live::DispatchMode::kSharded;
   options.shards = 1;
   options.max_queue = 1;
   live::LivePlatform platform(options);

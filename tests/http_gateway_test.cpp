@@ -76,7 +76,6 @@ TEST(GatewayHealthTest, WedgedShardTurnsHealthz503NamingTheShard) {
   LivePlatformOptions options;
   options.policy = LivePolicy::kFaasBatch;
   options.clock = &clock;
-  options.dispatch = DispatchMode::kSharded;
   options.shards = 4;
   options.window = std::chrono::milliseconds(10'000);
   options.stall_threshold = std::chrono::milliseconds(100);

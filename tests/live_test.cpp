@@ -11,10 +11,13 @@
 #include <chrono>
 #include <future>
 #include <latch>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/hash.hpp"
 #include "live/functions.hpp"
 #include "live/live_container.hpp"
 #include "live/live_platform.hpp"
@@ -373,7 +376,7 @@ TEST(LivePlatformTest, SeparateFunctionsSeparateContainers) {
 }
 
 // ---------------------------------------------------------------------
-// Sharded dispatch pipeline (and single-queue parity)
+// Sharded dispatch pipeline
 // ---------------------------------------------------------------------
 
 TEST(ShardedDispatchTest, StatsExposePipelineShape) {
@@ -384,7 +387,6 @@ TEST(ShardedDispatchTest, StatsExposePipelineShape) {
   platform.register_function("fib", make_fib_handler(10));
 
   DispatchStats stats = platform.dispatch_stats();
-  EXPECT_EQ(stats.mode, DispatchMode::kSharded);
   EXPECT_EQ(stats.shards, 3u);
   EXPECT_EQ(stats.workers, 2u);
   ASSERT_EQ(stats.shard_stats.size(), 3u);
@@ -401,16 +403,6 @@ TEST(ShardedDispatchTest, StatsExposePipelineShape) {
   }
   EXPECT_EQ(enqueued, 12u);
   EXPECT_GE(windows, 1u);
-}
-
-TEST(ShardedDispatchTest, SingleQueueModeReportsEmptyShardStats) {
-  LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
-  options.dispatch = DispatchMode::kSingleQueue;
-  LivePlatform platform(options);
-  const DispatchStats stats = platform.dispatch_stats();
-  EXPECT_EQ(stats.mode, DispatchMode::kSingleQueue);
-  EXPECT_EQ(stats.shards, 0u);
-  EXPECT_TRUE(stats.shard_stats.empty());
 }
 
 TEST(ShardedDispatchTest, SameFunctionAlwaysLandsOnOneShard) {
@@ -432,55 +424,14 @@ TEST(ShardedDispatchTest, SameFunctionAlwaysLandsOnOneShard) {
   EXPECT_EQ(shards_used, 1);
 }
 
-TEST(ShardedDispatchTest, SingleQueueModeStillBatchesAndSheds) {
-  // The legacy pipeline stays selectable for differential comparison;
-  // its core behaviours must keep working.
-  VirtualClock clock;
-  LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
-  options.dispatch = DispatchMode::kSingleQueue;
-  options.clock = &clock;
-  options.max_queue = 1;
-  LivePlatform platform(options);
-  std::atomic<int> ran{0};
-  platform.register_function("f", [&ran](FunctionContext&) { ++ran; });
-
-  auto queued = platform.invoke("f");
-  auto shed = platform.invoke("f");
-  ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(shed.get().status, InvocationStatus::kShed);
-  ASSERT_TRUE(advance_until(clock, options.window, [&] {
-    return queued.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  }));
-  EXPECT_EQ(queued.get().status, InvocationStatus::kOk);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ShardedDispatchTest, SingleQueueModeShutdownCancelsNew) {
-  VirtualClock clock;
-  LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
-  options.dispatch = DispatchMode::kSingleQueue;
-  options.clock = &clock;
-  LivePlatform platform(options);
-  std::atomic<int> ran{0};
-  platform.register_function("f", [&ran](FunctionContext&) { ++ran; });
-  auto a = platform.invoke("f");
-  platform.shutdown();
-  EXPECT_EQ(a.get().status, InvocationStatus::kOk);
-  auto late = platform.invoke("f");
-  ASSERT_EQ(late.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(late.get().status, InvocationStatus::kCancelled);
-  EXPECT_EQ(ran.load(), 1);
-}
-
 // Regression test for the shutdown/invoke race: a late invoke() must
 // never slip past the draining check into a queue nobody drains
 // (accepted-but-never-settled future). Admission close and the final
 // drain are atomic: under a storm of concurrent invokes racing
 // shutdown(), every single future must reach a terminal state and the
 // accounting must add up exactly.
-void shutdown_invoke_storm(DispatchMode mode) {
+TEST(ShardedDispatchTest, ShutdownInvokeRaceNeverStrandsARequest) {
   LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
-  options.dispatch = mode;
   options.window = std::chrono::milliseconds(1);
   LivePlatform platform(options);
   std::atomic<int> ran{0};
@@ -526,14 +477,6 @@ void shutdown_invoke_storm(DispatchMode mode) {
   EXPECT_EQ(ok + cancelled + other, kThreads * kPerThread);
   EXPECT_EQ(other, 0);  // unbounded queue, no deadlines: no shed/expiry
   EXPECT_EQ(ok, ran.load());  // every kOk really executed, exactly once
-}
-
-TEST(ShardedDispatchTest, ShutdownInvokeRaceNeverStrandsARequest) {
-  shutdown_invoke_storm(DispatchMode::kSharded);
-}
-
-TEST(ShardedDispatchTest, ShutdownInvokeRaceNeverStrandsARequestSingleQueue) {
-  shutdown_invoke_storm(DispatchMode::kSingleQueue);
 }
 
 TEST(ShardedDispatchTest, ManyFunctionsSpreadAcrossShardsAndStillBatch) {
@@ -600,6 +543,62 @@ TEST(ShardedDispatchTest, ShedAccountingMatchesShardCounters) {
   platform.shutdown();  // flushes the two queued requests immediately
   platform.drain();
   EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(ShardedDispatchTest, MaxQueueBoundsEachShardSeparately) {
+  // max_queue is a per-shard bound: two functions on different shards
+  // each admit max_queue requests into the same pinned window and shed
+  // only their own excess — one function's backlog never eats the other
+  // shard's headroom.
+  VirtualClock clock;  // never advanced: both shards sit in their window wait
+  LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
+  options.clock = &clock;
+  options.shards = 2;
+  options.max_queue = 2;
+  LivePlatform platform(options);
+  // Shard assignment is fnv1a(name) % shards: pick a second name of the
+  // other parity. The per-shard counters below confirm the split.
+  const std::string a = "a";
+  std::string b = "b";
+  for (int i = 0; fnv1a(b) % 2 == fnv1a(a) % 2; ++i) b = "b" + std::to_string(i);
+  std::atomic<int> ran{0};
+  for (const std::string& name : {a, b}) {
+    platform.register_function(name, [&ran](FunctionContext&) { ++ran; });
+  }
+
+  constexpr int kPerFunction = 5;
+  std::map<std::string, std::vector<std::future<InvocationReport>>> futures;
+  for (int i = 0; i < kPerFunction; ++i) {
+    for (const std::string& name : {a, b}) futures[name].push_back(platform.invoke(name));
+  }
+  for (auto& [name, per_function] : futures) {
+    int shed = 0;
+    for (auto& future : per_function) {
+      if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+        EXPECT_EQ(future.get().status, InvocationStatus::kShed) << name;
+        ++shed;
+      }
+    }
+    EXPECT_EQ(shed, kPerFunction - 2) << name;
+  }
+  const DispatchStats stats = platform.dispatch_stats();
+  ASSERT_EQ(stats.shard_stats.size(), 2u);
+  for (const auto& snap : stats.shard_stats) {
+    EXPECT_EQ(snap.enqueued, 2u) << "shard " << snap.shard;
+    EXPECT_EQ(snap.shed, static_cast<std::uint64_t>(kPerFunction - 2))
+        << "shard " << snap.shard;
+  }
+
+  platform.shutdown();  // flushes both shards' admitted requests
+  platform.drain();
+  for (auto& [name, per_function] : futures) {
+    for (auto& future : per_function) {
+      if (future.valid()) {
+        EXPECT_EQ(future.get().status, InvocationStatus::kOk) << name;
+      }
+    }
+  }
+  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace

@@ -15,20 +15,15 @@
 // sides of a ratio unevenly (atomics cost far more under TSan than a
 // parked mutex), so the floors are meaningless there.
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
-#include <future>
-#include <latch>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/clock.hpp"
 #include "live/dispatch/mpsc_ring.hpp"
-#include "live/live_platform.hpp"
 
 namespace faasbatch {
 namespace {
@@ -112,76 +107,6 @@ TEST(PerfRegressionTest, MpscRingKeepsUpWithMutexDeque) {
   EXPECT_GE(ring_ops, mutex_ops / kFloorFactor)
       << "MpscRing " << ring_ops << " ops/s vs mutex+deque " << mutex_ops
       << " ops/s";
-}
-
-// ---------------------------------------------------------------------
-// Sharded vs single-queue admission: invoke() throughput with windows
-// pinned shut (VirtualClock never advances), as in bench_dispatch's
-// invoke_path cells.
-// ---------------------------------------------------------------------
-
-constexpr std::size_t kProducers = 4;
-constexpr std::size_t kPerProducer = 2000;
-constexpr std::size_t kFunctions = 4;
-
-double time_invoke_path(live::DispatchMode mode) {
-  VirtualClock clock;  // pinned: windows never flush during submission
-  live::LivePlatformOptions options;
-  options.policy = live::LivePolicy::kFaasBatch;
-  options.clock = &clock;
-  options.dispatch = mode;
-  options.shards = 8;
-  options.shard_ring_capacity = kProducers * kPerProducer;
-  live::LivePlatform platform(options);
-  std::vector<std::string> names;
-  for (std::size_t f = 0; f < kFunctions; ++f) {
-    names.push_back("f" + std::to_string(f));
-    platform.register_function(names.back(), [](live::FunctionContext&) {});
-  }
-
-  std::vector<ClockTime> starts(kProducers), stops(kProducers);
-  std::vector<std::vector<std::future<live::InvocationReport>>> futures(kProducers);
-  std::latch gate(kProducers);
-  std::vector<std::thread> threads;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    futures[p].reserve(kPerProducer);
-    threads.emplace_back([&, p] {
-      gate.arrive_and_wait();
-      starts[p] = Clock::system().now();
-      for (std::size_t i = 0; i < kPerProducer; ++i) {
-        futures[p].push_back(platform.invoke(names[(p + i) % kFunctions]));
-      }
-      stops[p] = Clock::system().now();
-    });
-  }
-  for (auto& t : threads) t.join();
-  platform.shutdown();
-  platform.drain();
-  for (auto& lane : futures) {
-    for (auto& f : lane) {
-      EXPECT_EQ(f.get().status, live::InvocationStatus::kOk);
-    }
-  }
-  const ClockTime first = *std::min_element(starts.begin(), starts.end());
-  const ClockTime last = *std::max_element(stops.begin(), stops.end());
-  return std::chrono::duration<double>(last - first).count();
-}
-
-TEST(PerfRegressionTest, ShardedAdmissionKeepsUpWithSingleQueue) {
-  if (kSanitized) GTEST_SKIP() << "ratio floors are meaningless under sanitizers";
-  const double sharded = best_seconds_of(
-      3, [] { return time_invoke_path(live::DispatchMode::kSharded); });
-  const double single = best_seconds_of(
-      3, [] { return time_invoke_path(live::DispatchMode::kSingleQueue); });
-  constexpr double kTotal = static_cast<double>(kProducers * kPerProducer);
-  const double sharded_ips = kTotal / sharded;
-  const double single_ips = kTotal / single;
-  // On multi-core hosts sharded admission is >=2x faster; on a 1-vCPU
-  // runner the two are comparable. 3x slower means the lock-free path
-  // regressed into taking the platform mutex (or worse).
-  EXPECT_GE(sharded_ips, single_ips / kFloorFactor)
-      << "sharded " << sharded_ips << " inv/s vs single-queue " << single_ips
-      << " inv/s";
 }
 
 }  // namespace

@@ -1,30 +1,16 @@
-// Property and stress tests for the pull-scheduling building blocks:
-// the cluster's PendingQueue + steal policy (pure, deterministic) and
-// the live pipeline's cross-shard steal path (concurrent, lock-based).
-//
-// The concurrent tests follow the mpsc_ring_test idiom — producers
-// rendezvous at a latch, nothing sleeps, a VirtualClock pins the
-// batching window open so the only consumption path under test is the
-// steal. CI runs this binary in the tsan job's loop.
+// Property tests for the cluster's pull-scheduling building blocks:
+// PendingQueue and the steal policy (pure, deterministic).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <latch>
 #include <map>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "cluster/pending_queue.hpp"
 #include "cluster/steal_policy.hpp"
-#include "common/clock.hpp"
-#include "live/dispatch/shard.hpp"
-#include "live/dispatch/sharded_dispatcher.hpp"
 
 namespace faasbatch::cluster {
 namespace {
@@ -325,153 +311,3 @@ TEST(StealPolicyTest, SelectFallsBackToNewestOfTheRest) {
 
 }  // namespace
 }  // namespace faasbatch::cluster
-
-// --- Live pipeline: cross-shard steal -------------------------------------
-
-namespace faasbatch::live::dispatch {
-namespace {
-
-/// A VirtualClock pinned at zero keeps a nonzero batching window open
-/// forever, so nothing drains through the flush loop — every pre-close
-/// consumption below is a steal.
-TEST(ShardStealTest, StealsAreCountedAndNothingIsLostConcurrently) {
-  VirtualClock clock;
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-
-  std::mutex flushed_mutex;
-  std::vector<int> flushed;
-  Shard<int>::Options options;
-  options.index = 0;
-  options.ring_capacity = 64;  // small ring: exercise the overflow path
-  options.clock = &clock;
-  options.window = std::chrono::milliseconds(10'000);
-  Shard<int> shard(options, [&](std::size_t, std::vector<int> items,
-                                ClockTime, ClockTime) {
-    std::lock_guard<std::mutex> lock(flushed_mutex);
-    flushed.insert(flushed.end(), items.begin(), items.end());
-  });
-
-  std::latch gate(kProducers + 1);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      gate.arrive_and_wait();
-      for (int i = 0; i < kPerProducer; ++i) {
-        while (shard.try_enqueue(p * kPerProducer + i) != Admit::kOk) {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  // The thief runs concurrently with the producers, mid-stream.
-  std::vector<int> stolen;
-  gate.arrive_and_wait();
-  for (int round = 0; round < 200; ++round) {
-    shard.try_steal(7, stolen);
-    std::this_thread::yield();
-  }
-  for (std::thread& t : producers) t.join();
-  shard.close();
-  shard.join();  // final sweep flushes whatever the thief left behind
-
-  const ShardSnapshot snap = shard.snapshot();
-  EXPECT_EQ(snap.stolen, stolen.size());
-  std::vector<int> all = stolen;
-  {
-    std::lock_guard<std::mutex> lock(flushed_mutex);
-    all.insert(all.end(), flushed.begin(), flushed.end());
-  }
-  ASSERT_EQ(all.size(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(all.begin(), all.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    ASSERT_EQ(all[static_cast<std::size_t>(i)], i)
-        << "item lost or duplicated across steal + flush";
-  }
-}
-
-TEST(ShardStealTest, StealRespectsMaxAndEmptyShardYieldsNothing) {
-  VirtualClock clock;
-  Shard<int>::Options options;
-  options.clock = &clock;
-  options.window = std::chrono::milliseconds(10'000);
-  Shard<int> shard(options, [](std::size_t, std::vector<int>, ClockTime,
-                               ClockTime) {});
-  std::vector<int> out;
-  EXPECT_EQ(shard.try_steal(4, out), 0u);
-  for (int i = 0; i < 10; ++i) shard.try_enqueue(i);
-  EXPECT_EQ(shard.try_steal(4, out), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));  // ring order preserved
-  EXPECT_EQ(shard.snapshot().depth, 6u);
-  shard.close();
-  shard.join();
-}
-
-TEST(ShardedDispatcherStealTest, IdleWorkersDrainBackloggedShardsEarly) {
-  VirtualClock clock;
-  constexpr int kItems = 256;
-  // The steal hint is advisory: a nudge that fires before any worker has
-  // parked is dropped by design (the next enqueue re-arms it, and the
-  // window flush is the correctness backstop). The test therefore keeps
-  // enqueueing fresh items until a steal lands, with headroom to spare.
-  constexpr int kMaxItems = kItems + 20000;
-  std::vector<std::atomic<int>> executed(kMaxItems);
-  std::atomic<int> done{0};
-
-  using Dispatcher = ShardedDispatcher<int, std::vector<int>>;
-  Dispatcher::Options options;
-  options.shards = 4;
-  options.workers = 2;
-  options.clock = &clock;
-  options.window = std::chrono::milliseconds(10'000);  // never elapses
-  options.steal_min_depth = 4;
-  options.steal_max_batch = 64;
-
-  std::unique_ptr<Dispatcher> dispatcher;
-  dispatcher = std::make_unique<Dispatcher>(
-      options,
-      [&](std::size_t, std::vector<int> items, ClockTime, ClockTime) {
-        dispatcher->submit(std::move(items));
-      },
-      [&](std::vector<int>&& batch) {
-        for (const int v : batch) {
-          executed[static_cast<std::size_t>(v)].fetch_add(1,
-              std::memory_order_relaxed);
-          done.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-
-  int enqueued = 0;
-  for (; enqueued < kItems; ++enqueued) {
-    ASSERT_EQ(dispatcher->enqueue(static_cast<std::size_t>(enqueued) % 4,
-                                  int(enqueued)),
-              Admit::kOk);
-  }
-  // With the window pinned open, steals are the only path to execution.
-  // Every extra enqueue re-fires the hint against a now-parked worker.
-  while (done.load(std::memory_order_relaxed) == 0 && enqueued < kMaxItems) {
-    ASSERT_EQ(dispatcher->enqueue(static_cast<std::size_t>(enqueued) % 4,
-                                  int(enqueued)),
-              Admit::kOk);
-    ++enqueued;
-    std::this_thread::yield();
-  }
-  std::uint64_t stolen = 0;
-  for (const ShardSnapshot& snap : dispatcher->snapshots()) {
-    stolen += snap.stolen;
-  }
-  EXPECT_GT(stolen, 0u) << "no steal fired while the window was pinned open";
-
-  dispatcher->close();
-  dispatcher->join();  // final sweeps flush what the thieves left
-  dispatcher.reset();
-  for (int i = 0; i < enqueued; ++i) {
-    EXPECT_EQ(executed[static_cast<std::size_t>(i)].load(), 1)
-        << "item " << i << " lost or double-executed";
-  }
-}
-
-}  // namespace
-}  // namespace faasbatch::live::dispatch

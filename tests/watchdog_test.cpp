@@ -123,7 +123,6 @@ TEST(WatchdogIntegrationTest, WedgedShardIsFlaggedByName) {
   live::LivePlatformOptions options;
   options.policy = live::LivePolicy::kFaasBatch;
   options.clock = &clock;
-  options.dispatch = live::DispatchMode::kSharded;
   options.shards = 4;
   options.window = std::chrono::milliseconds(10'000);
   options.stall_threshold = std::chrono::milliseconds(100);
