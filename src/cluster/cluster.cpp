@@ -16,14 +16,6 @@ std::string_view balancer_kind_name(BalancerKind kind) {
   return "?";
 }
 
-std::string_view scheduling_mode_name(SchedulingMode mode) {
-  switch (mode) {
-    case SchedulingMode::kPush: return "push";
-    case SchedulingMode::kPull: return "pull";
-  }
-  return "?";
-}
-
 std::uint64_t ClusterResult::total_containers() const {
   std::uint64_t total = 0;
   for (const WorkerResult& worker : workers) total += worker.containers_provisioned;

@@ -50,27 +50,17 @@ enum class BalancerKind { kRoundRobin, kLeastOutstanding, kFunctionAffinity };
 
 std::string_view balancer_kind_name(BalancerKind kind);
 
-/// How work binds to workers.
-enum class SchedulingMode {
-  /// Arrivals bind at routing time: the balancer picks a worker up front
-  /// and the invocation rides it (the pre-pull plane, kept selectable).
-  kPush,
-  /// Late binding over a front-end pending queue: an invocation binds
-  /// only when a worker with free capacity pulls it, idle workers steal
-  /// from loaded backlogs, and placement prefers workers already holding
-  /// a warm container for the function (balancer = cold-key fallback).
-  kPull,
-};
-
-std::string_view scheduling_mode_name(SchedulingMode mode);
-
-/// Knobs for SchedulingMode::kPull.
+/// How work binds to workers. Binding is late, over a front-end pending
+/// queue: an invocation binds only when a worker with free capacity
+/// pulls it, idle workers steal from loaded backlogs, and placement
+/// prefers workers already holding a warm container for the function
+/// (the balancer picks among cold candidates).
 struct PullOptions {
   /// Injected-but-not-terminal invocations one worker may hold; further
   /// pulled work waits in the worker's backlog (the steal target). 0 =
-  /// unbounded: every pull injects immediately, which degenerates to
-  /// warm-preferring push and keeps fault-free runs event-identical to
-  /// the push plane.
+  /// unbounded: every pull injects immediately, so each arrival binds
+  /// inside its own arrival event — on a fault-free affinity run, to its
+  /// rendezvous worker.
   std::size_t worker_capacity = 0;
   /// Max invocations of one function key taken per pull. Pulls take a
   /// whole key run up to this even beyond free capacity — full batches
@@ -96,10 +86,9 @@ struct ClusterSpec {
   /// Worker count; each is a full Machine+ContainerPool+Scheduler.
   std::size_t workers = 4;
   BalancerKind balancer = BalancerKind::kFunctionAffinity;
-  /// kPull with the default unbounded capacity binds arrivals
-  /// immediately (warm-preferring, balancer fallback); set
-  /// pull.worker_capacity to opt into true late binding + stealing.
-  SchedulingMode mode = SchedulingMode::kPull;
+  /// The default unbounded capacity binds arrivals immediately
+  /// (warm-preferring, balancer fallback); set pull.worker_capacity to
+  /// opt into true late binding + stealing.
   PullOptions pull;
   /// Per-worker configuration (scheduler, runtime constants, chaos plan).
   /// Worker-level fault classes in worker_spec.fault_plan (worker_crash_
@@ -124,7 +113,7 @@ struct WorkerResult {
   /// invocations this worker stranded by dying (their terminal outcome
   /// lands on the survivor that finished them).
   eval::OutcomeCounts outcomes;
-  /// Pull/steal/requeue activity (pull mode; all zero under kPush).
+  /// Pull/steal/requeue activity.
   eval::TransferCounts transfer;
   std::uint64_t crashes = 0;
   std::uint64_t stalls = 0;

@@ -147,7 +147,7 @@ void DispatchPlane::start() {
   for (std::size_t i = 0; i < total_; ++i) {
     const InvocationId id = static_cast<InvocationId>(i);
     sim_.schedule_at(workload_.events[i].arrival,
-                     [this, id] { route_arrival(id); });
+                     [this, id] { enqueue(id); });
   }
   for (const OperatorAction& action : spec_.actions) {
     sim_.schedule_at(action.at, [this, action] { apply_action(action); });
@@ -217,51 +217,17 @@ void DispatchPlane::dispatch_to(std::size_t worker, InvocationId id) {
   slot.instance->scheduler->on_arrival(id);
 }
 
-void DispatchPlane::route_arrival(InvocationId id) {
-  if (spec_.mode == SchedulingMode::kPull) {
-    // Late binding: queue unbound; the pump binds when a worker has
-    // capacity. With nobody routable the work simply waits here — the
-    // queue subsumes the push plane's parked_arrivals_.
-    pending_.push(id, records_[id].function, sim_.now());
-    pump();
-    return;
-  }
-  const std::vector<std::size_t> candidates = route_candidates();
-  if (candidates.empty()) {
-    parked_arrivals_.push_back(id);
-    return;
-  }
-  dispatch_to(pick_route(records_[id].function, candidates), id);
-}
-
-void DispatchPlane::redispatch(InvocationId id) {
+void DispatchPlane::enqueue(InvocationId id) {
   if (done_ || assignments_[id].terminal) return;
-  if (spec_.mode == SchedulingMode::kPull) {
-    // Failover work re-enters the queue like a fresh arrival at the
-    // retry instant; survivors pull it when they have room.
-    pending_.push(id, records_[id].function, sim_.now());
-    pump();
-    return;
-  }
-  const std::vector<std::size_t> candidates = route_candidates();
-  if (candidates.empty()) {
-    parked_redispatches_.push_back(id);
-    return;
-  }
-  dispatch_to(pick_route(records_[id].function, candidates), id);
-}
-
-void DispatchPlane::flush_parked() {
-  std::vector<InvocationId> arrivals = std::move(parked_arrivals_);
-  parked_arrivals_.clear();
-  std::vector<InvocationId> redispatches = std::move(parked_redispatches_);
-  parked_redispatches_.clear();
-  for (const InvocationId id : arrivals) route_arrival(id);
-  for (const InvocationId id : redispatches) redispatch(id);
+  // Late binding: queue unbound; the pump binds when a worker has
+  // capacity. Failover work re-enters like a fresh arrival at the retry
+  // instant, and with nobody routable the work simply waits here.
+  pending_.push(id, records_[id].function, sim_.now());
+  pump();
 }
 
 void DispatchPlane::pump() {
-  if (done_ || spec_.mode != SchedulingMode::kPull) return;
+  if (done_) return;
   if (pumping_) {
     // Reentrant trigger (a synchronous shed inside an injection, a
     // completion inside a scan): fold into the running pump instead of
@@ -620,9 +586,9 @@ void DispatchPlane::declare_dead(std::size_t worker, SimTime now) {
       instance->pool->stats().total_provisioned;
   slot.zombies.push_back(std::move(slot.instance));
 
-  // Pull mode: backlog work was bound here but never injected — it rode
-  // no attempt and died with nothing. It returns to the head of the
-  // pending queue (no attempt charge, no fault) for survivors to pull.
+  // Backlog work was bound here but never injected — it rode no attempt
+  // and died with nothing. It returns to the head of the pending queue
+  // (no attempt charge, no fault) for survivors to pull.
   requeue_backlog(worker);
 
   // Everything routed here and not yet terminal is stranded, in id order
@@ -670,7 +636,7 @@ void DispatchPlane::declare_dead(std::size_t worker, SimTime now) {
                            static_cast<std::uint32_t>(worker), now, id,
                            obs::attempt_span(root, global.attempts),
                            global.attempts);
-      sim_.schedule_after(backoff, [this, id] { redispatch(id); });
+      sim_.schedule_after(backoff, [this, id] { enqueue(id); });
     } else {
       global.outcome = core::Outcome::kFailed;
       global.returned = now;
@@ -701,7 +667,6 @@ void DispatchPlane::restart_worker(std::size_t worker, std::uint64_t epoch) {
   ++slot.result.restarts;
   detector_.reset(worker, sim_.now());
   set_state(worker, WorkerState::kUp);
-  flush_parked();
   pump();  // a fresh worker is a fresh puller
 }
 
@@ -736,7 +701,6 @@ void DispatchPlane::apply_action(const OperatorAction& action) {
       slot.instance = make_instance(action.worker);
       detector_.reset(action.worker, sim_.now());
       set_state(action.worker, WorkerState::kUp);
-      flush_parked();
       pump();
       return;
   }

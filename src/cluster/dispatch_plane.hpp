@@ -36,16 +36,17 @@
 //    in-flight finish, and remove it; rejoin (and crash restart after
 //    worker_restart_latency) brings a fresh cold instance back.
 //
-//  * Pull scheduling (SchedulingMode::kPull): arrivals queue unbound in
+//  * Binding: arrivals and failover re-dispatches alike queue unbound in
 //    a front-end PendingQueue; the pump binds an invocation only when a
 //    worker with free capacity takes it (late binding). A pull takes a
 //    whole function-key run up to pull_batch — the excess beyond the
 //    worker's capacity sits in its plane-side backlog, which idle
 //    workers steal from (warm-for-the-thief keys first, then
-//    rendezvous-affine) when the queue runs dry. On worker death,
-//    injected work fails over through the retry policy as under push,
-//    while backlog work — bound but never started — returns to the head
-//    of the queue with no attempt charged. All pump activity runs inside
+//    rendezvous-affine) when the queue runs dry. With no routable
+//    worker, work simply waits in the queue until one returns. On worker
+//    death, injected work fails over through the retry policy, while
+//    backlog work — bound but never started — returns to the head of
+//    the queue with no attempt charged. All pump activity runs inside
 //    virtual-clock event callbacks in worker-index order, so pull/steal
 //    sequences are deterministic and fingerprints reproduce exactly.
 #pragma once
@@ -127,7 +128,7 @@ class DispatchPlane {
     /// can fire harmlessly.
     std::vector<std::unique_ptr<Instance>> zombies;
     std::size_t outstanding = 0;
-    /// Pull mode: invocations bound to this worker but not yet injected
+    /// Invocations bound to this worker but not yet injected
     /// (a pull's excess over free capacity). Stealable; reclaimed to the
     /// pending queue on death or drain. Bounded by max(pull_batch,
     /// steal.max_steal), so scans over it stay O(1)-ish.
@@ -148,17 +149,17 @@ class DispatchPlane {
   void set_state(std::size_t worker, WorkerState state);
 
   /// Routing. Candidates are kUp workers, falling back to kSuspect;
-  /// with none routable, work parks until a worker returns.
+  /// with none routable, work waits in the pending queue.
   std::vector<std::size_t> route_candidates() const;
   std::size_t pick_route(FunctionId function,
                          const std::vector<std::size_t>& candidates);
   void dispatch_to(std::size_t worker, InvocationId id);
-  void route_arrival(InvocationId id);
-  void redispatch(InvocationId id);
-  void flush_parked();
+  /// Queues an arrival (or a failover re-dispatch at its retry instant)
+  /// unbound and pumps; a no-op once the invocation is terminal.
+  void enqueue(InvocationId id);
 
-  /// Pull scheduling. pump() drives inject -> pull -> steal to a fixed
-  /// point inside the current event; reentrant calls (a synchronous shed
+  /// Binding. pump() drives inject -> pull -> steal to a fixed point
+  /// inside the current event; reentrant calls (a synchronous shed
   /// during injection) fold into the running pump.
   void pump();
   bool pump_pass();
@@ -208,11 +209,8 @@ class DispatchPlane {
   /// Canonical records: the single source of truth for outcomes.
   std::vector<core::InvocationRecord> records_;
   std::vector<Assignment> assignments_;
-  /// Work with no routable worker, flushed when one returns.
-  std::vector<InvocationId> parked_arrivals_;
-  std::vector<InvocationId> parked_redispatches_;
 
-  /// Pull mode: unbound work awaiting a puller.
+  /// Unbound work awaiting a puller.
   PendingQueue pending_;
   /// Sum of all slots' backlog sizes (pump early-out).
   std::size_t backlog_total_ = 0;

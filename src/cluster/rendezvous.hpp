@@ -25,8 +25,8 @@ std::uint64_t rendezvous_score(FunctionId function, std::size_t worker);
 
 /// Picks the highest-scoring worker for `function` among `candidates`
 /// (worker indices, any order; ties break to the lower index). Undefined
-/// for an empty candidate set — callers park work when nobody is
-/// routable.
+/// for an empty candidate set — callers leave work queued when nobody
+/// is routable.
 std::size_t rendezvous_pick(FunctionId function,
                             const std::vector<std::size_t>& candidates);
 

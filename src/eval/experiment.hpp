@@ -71,10 +71,10 @@ struct OutcomeCounts {
   std::uint64_t fingerprint() const;
 };
 
-/// Work-transfer tally for one pull-mode cluster worker: how its work
-/// arrived (pulled from the pending queue, stolen from a peer's backlog)
-/// and how it left without running (stolen away, requeued by death or
-/// drain). All zero for push-mode clusters and single-node experiments.
+/// Work-transfer tally for one cluster worker: how its work arrived
+/// (pulled from the pending queue, stolen from a peer's backlog) and how
+/// it left without running (stolen away, requeued by death or drain).
+/// All zero for single-node experiments.
 struct TransferCounts {
   /// Pull operations this worker performed against the pending queue.
   std::uint64_t pulls = 0;

@@ -66,6 +66,11 @@ void Server::stop() {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
+  // A thread idling in recv() on a keep-alive connection would hold the
+  // destructor until its client hangs up; SHUT_RD makes that recv()
+  // return 0, and a reply being written still goes out.
+  MutexLock lock(workers_mutex_);
+  for (const int conn : open_fds_) ::shutdown(conn, SHUT_RD);
 }
 
 void Server::accept_loop() {
@@ -79,10 +84,19 @@ void Server::accept_loop() {
       return;  // listener closed
     }
     MutexLock lock(workers_mutex_);
+    if (stopping_.load(std::memory_order_acquire)) {
+      // stop() has already shut down the registered connections; this
+      // one would wait in recv() with nobody to wake it.
+      ::close(fd);
+      return;
+    }
     reap_finished();
+    open_fds_.push_back(fd);
     workers_.emplace_back([this, fd] {
       serve_connection(fd);
       MutexLock done(workers_mutex_);
+      open_fds_.erase(std::find(open_fds_.begin(), open_fds_.end(), fd));
+      ::close(fd);
       finished_.push_back(std::this_thread::get_id());
     });
   }
@@ -124,31 +138,25 @@ void Server::serve_connection(int fd) {
           // connection an EPIPE, not the whole process a SIGPIPE.
           const ssize_t n =
               ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-          if (n <= 0) {
-            ::close(fd);
-            return;
-          }
+          if (n <= 0) return;
           sent += static_cast<std::size_t>(n);
         }
-        if (close_after) {
-          ::close(fd);
-          return;
-        }
+        if (close_after) return;
       }
     } catch (const std::exception& e) {
-      const std::string wire = Response::make(400, e.what()).serialize();
+      // The request's framing is lost, so nothing after it on this
+      // connection can be read: answer with the matching status, close.
+      const auto* error = dynamic_cast<const ParseError*>(&e);
+      const std::string wire =
+          Response::make(error != nullptr ? error->status() : 400, e.what())
+              .serialize();
       (void)::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
-      ::close(fd);
       return;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) {
-      ::close(fd);
-      return;
-    }
+    if (n <= 0) return;
     parser.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
   }
-  ::close(fd);
 }
 
 }  // namespace faasbatch::http

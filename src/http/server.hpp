@@ -27,7 +27,8 @@ class Server {
   /// Throws std::runtime_error on socket errors.
   Server(std::uint16_t port, Handler handler);
 
-  /// Stops accepting, closes the listener, and joins all threads.
+  /// Stops accepting, closes the listener, and joins all threads; idle
+  /// keep-alive connections are closed, not waited for.
   ~Server();
 
   Server(const Server&) = delete;
@@ -43,11 +44,16 @@ class Server {
     return served_.load(std::memory_order_acquire);
   }
 
-  /// Initiates shutdown (also called by the destructor).
+  /// Initiates shutdown (also called by the destructor): closes the
+  /// listener and shuts down the read side of every open connection, so
+  /// threads idling in recv() return while replies in flight still go
+  /// out.
   void stop();
 
  private:
   void accept_loop();
+  /// Serves requests on `fd` until the peer, an error or stop() ends
+  /// the connection; the caller deregisters and closes `fd`.
   void serve_connection(int fd);
   /// Joins and forgets every connection thread that reported itself
   /// finished, so a long-lived server keeps only live threads (and
@@ -62,6 +68,10 @@ class Server {
   std::thread accept_thread_;
   Mutex workers_mutex_;
   std::vector<std::thread> workers_ FB_GUARDED_BY(workers_mutex_);
+  /// Sockets of connections still being served. A connection leaves
+  /// this list before its fd is closed, so stop() never touches an fd
+  /// number the kernel has handed out again.
+  std::vector<int> open_fds_ FB_GUARDED_BY(workers_mutex_);
   /// Connection threads that have served their last request; each
   /// appends its own id as its final act.
   std::vector<std::thread::id> finished_ FB_GUARDED_BY(workers_mutex_);

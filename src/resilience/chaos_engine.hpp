@@ -27,8 +27,8 @@ struct ChaosCounters {
   std::uint64_t terminal_failures = 0;
   std::uint64_t deadline_failures = 0;
   /// Bound-but-not-injected invocations returned to the cluster pending
-  /// queue when their worker died or drained (pull-mode clusters only;
-  /// no attempt is consumed — the work never started anywhere).
+  /// queue when their worker died or drained (clusters only; no attempt
+  /// is consumed — the work never started anywhere).
   std::uint64_t requeues = 0;
 
   /// Stable FNV-1a fold over every counter.

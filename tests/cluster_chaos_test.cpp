@@ -350,7 +350,6 @@ ClusterSpec pull_chaos_spec(double crash_rate, double stall_rate,
   ClusterSpec spec =
       chaos_spec(schedulers::SchedulerKind::kFaasBatch, crash_rate, stall_rate,
                  seed);
-  spec.mode = SchedulingMode::kPull;
   spec.pull.worker_capacity = 6;
   spec.pull.pull_batch = 16;
   spec.pull.steal.min_victim_backlog = 4;
@@ -401,7 +400,6 @@ TEST(ClusterChaosTest, PullDrainRequeuesBacklogLossFree) {
   const auto workload = skewed_workload_of(300, 47);
   ClusterSpec spec;
   spec.workers = 3;
-  spec.mode = SchedulingMode::kPull;
   spec.pull.worker_capacity = 4;
   spec.pull.pull_batch = 16;
   spec.actions.push_back({/*at=*/50 * kMillisecond,

@@ -48,7 +48,6 @@ ClusterSpec scale_spec() {
   ClusterSpec spec;
   spec.workers = kWorkers;
   spec.balancer = BalancerKind::kFunctionAffinity;
-  spec.mode = SchedulingMode::kPull;
   spec.pull.worker_capacity = 8;
   spec.pull.pull_batch = 32;
   spec.pull.steal.min_victim_backlog = 4;

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/rendezvous.hpp"
 #include "trace/workload.hpp"
 
 namespace faasbatch::cluster {
@@ -51,20 +55,6 @@ TEST(ClusterTest, SingleWorkerMatchesStandaloneExperiment) {
   EXPECT_EQ(cluster.makespan, standalone.makespan);
 }
 
-TEST(ClusterTest, RoundRobinBalancesRoutingExactly) {
-  // Pins push semantics: under kPull even round-robin prefers a worker
-  // already warm for the function, so exact 1/N splits hold only for the
-  // bind-at-routing plane.
-  const auto workload = workload_of(300, 8);
-  ClusterSpec spec;
-  spec.workers = 3;
-  spec.mode = SchedulingMode::kPush;
-  spec.balancer = BalancerKind::kRoundRobin;
-  const ClusterResult result = run_cluster_experiment(spec, workload);
-  for (const auto& worker : result.workers) EXPECT_EQ(worker.routed, 100u);
-  EXPECT_DOUBLE_EQ(result.routing_imbalance(), 1.0);
-}
-
 TEST(ClusterTest, AffinityKeepsFunctionsTogether) {
   const auto workload = workload_of(300, 8);
   ClusterSpec spec;
@@ -86,7 +76,6 @@ TEST(ClusterTest, AffinityPreservesFaasBatchConsolidation) {
   const auto workload = workload_of(400, 8, 23);
   ClusterSpec affinity;
   affinity.workers = 4;
-  affinity.mode = SchedulingMode::kPush;  // pins push routing semantics
   affinity.balancer = BalancerKind::kFunctionAffinity;
   affinity.worker_spec.scheduler = schedulers::SchedulerKind::kFaasBatch;
   const ClusterResult affinity_result = run_cluster_experiment(affinity, workload);
@@ -102,7 +91,6 @@ TEST(ClusterTest, LeastOutstandingAvoidsHotWorker) {
   const auto workload = workload_of(200, 8);
   ClusterSpec spec;
   spec.workers = 4;
-  spec.mode = SchedulingMode::kPush;  // pins push routing semantics
   spec.balancer = BalancerKind::kLeastOutstanding;
   const ClusterResult result = run_cluster_experiment(spec, workload);
   // No worker should be left idle while others overflow.
@@ -130,7 +118,6 @@ trace::Workload skewed_workload(std::size_t invocations,
 ClusterSpec pull_spec(std::size_t workers) {
   ClusterSpec spec;
   spec.workers = workers;
-  spec.mode = SchedulingMode::kPull;
   spec.pull.worker_capacity = 8;
   spec.pull.pull_batch = 16;
   spec.pull.steal.min_victim_backlog = 4;
@@ -156,7 +143,6 @@ TEST(ClusterPullTest, UnboundedPullSingleWorkerMatchesStandalone) {
   const auto workload = workload_of(150, 6);
   ClusterSpec spec;
   spec.workers = 1;
-  spec.mode = SchedulingMode::kPull;
   const ClusterResult cluster = run_cluster_experiment(spec, workload);
 
   const eval::ExperimentResult standalone =
@@ -180,49 +166,65 @@ TEST(ClusterPullTest, BoundedPullSingleWorkerAccountsEverything) {
   EXPECT_EQ(result.transfer.steals, 0u);
 }
 
-TEST(ClusterPullTest, UnboundedPullMatchesPushOnColdAffinityRun) {
-  // Fault-free, capacity-unbounded pull degenerates to warm-preferring
-  // push: on an affinity cluster the warm worker IS the affine worker,
-  // so both planes route identically.
-  const auto workload = workload_of(300, 8);
-  ClusterSpec push;
-  push.workers = 4;
-  push.mode = SchedulingMode::kPush;
-  const ClusterResult push_result = run_cluster_experiment(push, workload);
+TEST(ClusterPullTest, UnboundedAffinityRunBindsEachFunctionToItsRendezvousWorker) {
+  // Fault-free and capacity-unbounded, every arrival binds inside its own
+  // arrival event. The first invocation of a function finds no warm
+  // worker and falls back to the affinity balancer; later ones prefer
+  // the worker already warm for it, which is that same worker. So each
+  // worker is routed exactly the invocations whose function rendezvous
+  // hashing over the full worker set assigns to it.
+  const std::vector<std::pair<std::string, trace::Workload>> workloads = {
+      {"workload_of(300, 8)", workload_of(300, 8)},
+      {"skewed_workload(600)", skewed_workload(600)},
+  };
+  for (const auto& [label, workload] : workloads) {
+    for (const std::size_t workers : {std::size_t{4}, std::size_t{8}}) {
+      for (const auto scheduler : {schedulers::SchedulerKind::kVanilla,
+                                   schedulers::SchedulerKind::kFaasBatch}) {
+        ClusterSpec spec;
+        spec.workers = workers;
+        spec.worker_spec.scheduler = scheduler;
+        const ClusterResult result = run_cluster_experiment(spec, workload);
 
-  ClusterSpec pull = push;
-  pull.mode = SchedulingMode::kPull;
-  const ClusterResult pull_result = run_cluster_experiment(pull, workload);
-
-  EXPECT_EQ(pull_result.completed, push_result.completed);
-  EXPECT_EQ(pull_result.makespan, push_result.makespan);
-  EXPECT_EQ(pull_result.total_containers(), push_result.total_containers());
-  for (std::size_t w = 0; w < push.workers; ++w) {
-    EXPECT_EQ(pull_result.workers[w].routed, push_result.workers[w].routed)
-        << "worker " << w;
+        std::vector<std::size_t> all(workers);
+        for (std::size_t w = 0; w < workers; ++w) all[w] = w;
+        std::vector<std::size_t> expected(workers, 0);
+        for (const trace::TraceEvent& event : workload.events) {
+          ++expected[rendezvous_pick(event.function, all)];
+        }
+        EXPECT_EQ(result.completed, workload.events.size());
+        for (std::size_t w = 0; w < workers; ++w) {
+          EXPECT_EQ(result.workers[w].routed, expected[w])
+              << label << ", " << workers << " workers, "
+              << schedulers::scheduler_kind_name(scheduler) << ", worker "
+              << w;
+        }
+      }
+    }
   }
 }
 
 TEST(ClusterPullTest, SkewedLoadStealsAndRebalances) {
   // The skew regression gate: 90% of arrivals on one function must
-  // produce steals, and pull + steal must hold the max/mean worker
-  // utilization ratio under a pinned bound that push affinity (hot key
-  // pinned to one worker) cannot meet.
+  // produce steals, and bounded pull + steal must hold the max/mean
+  // worker utilization ratio under a pinned bound that unbounded
+  // affinity binding (hot key pinned to one worker) cannot meet.
   const auto workload = skewed_workload(600);
-  const ClusterSpec pull = pull_spec(4);
-  const ClusterResult pull_result = run_cluster_experiment(pull, workload);
-  EXPECT_EQ(pull_result.accounted, 600u);
-  EXPECT_GT(pull_result.transfer.steals, 0u);
-  EXPECT_GT(pull_result.transfer.stolen, 0u);
+  const ClusterSpec bounded = pull_spec(4);
+  const ClusterResult bounded_result = run_cluster_experiment(bounded, workload);
+  EXPECT_EQ(bounded_result.accounted, 600u);
+  EXPECT_GT(bounded_result.transfer.steals, 0u);
+  EXPECT_GT(bounded_result.transfer.stolen, 0u);
 
-  ClusterSpec push = pull;
-  push.mode = SchedulingMode::kPush;
-  const ClusterResult push_result = run_cluster_experiment(push, workload);
+  ClusterSpec unbounded = bounded;
+  unbounded.pull.worker_capacity = 0;
+  const ClusterResult unbounded_result =
+      run_cluster_experiment(unbounded, workload);
 
-  const double pull_ratio = utilization_imbalance(pull_result);
-  const double push_ratio = utilization_imbalance(push_result);
-  EXPECT_LT(pull_ratio, push_ratio);
-  EXPECT_LT(pull_ratio, 2.0);  // pinned bound: balance can't regress
+  const double bounded_ratio = utilization_imbalance(bounded_result);
+  const double unbounded_ratio = utilization_imbalance(unbounded_result);
+  EXPECT_LT(bounded_ratio, unbounded_ratio);
+  EXPECT_LT(bounded_ratio, 2.0);  // pinned bound: balance can't regress
 }
 
 TEST(ClusterPullTest, PullRunsAreDeterministic) {
@@ -240,11 +242,6 @@ TEST(ClusterPullTest, PullRunsAreDeterministic) {
     EXPECT_EQ(a.workers[w].transfer.fingerprint(),
               b.workers[w].transfer.fingerprint());
   }
-}
-
-TEST(ClusterPullTest, SchedulingModeNames) {
-  EXPECT_EQ(scheduling_mode_name(SchedulingMode::kPush), "push");
-  EXPECT_EQ(scheduling_mode_name(SchedulingMode::kPull), "pull");
 }
 
 TEST(ClusterTest, Validation) {

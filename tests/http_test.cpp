@@ -3,16 +3,21 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <future>
 #include <latch>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -42,6 +47,82 @@ int connect_raw(std::uint16_t port) {
     return -1;
   }
   return fd;
+}
+
+/// Bounds every blocking read on `fd` to two seconds, so a server that
+/// neither answers nor closes fails a test instead of hanging it.
+void set_receive_timeout(int fd) {
+  const timeval timeout{2, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+}
+
+bool send_all(int fd, std::string_view wire) {
+  while (!wire.empty()) {
+    const ssize_t n = ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    wire.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// What the server wrote back on one raw connection.
+struct RawExchange {
+  std::string reply;
+  /// The server closed the connection (rather than the timeout expiring).
+  bool closed = false;
+};
+
+/// Sends `wire` on a fresh connection and reads until the server closes
+/// it or the receive timeout expires.
+RawExchange exchange_raw(std::uint16_t port, std::string_view wire) {
+  RawExchange exchange;
+  const int fd = connect_raw(port);
+  if (fd < 0) return exchange;
+  set_receive_timeout(fd);
+  if (send_all(fd, wire)) {
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+      exchange.reply.append(chunk, static_cast<std::size_t>(n));
+    }
+    exchange.closed = n == 0;
+  }
+  ::close(fd);
+  return exchange;
+}
+
+/// Expects exactly one response, with `status`, and then a closed
+/// connection: nothing after the rejected request may be served.
+void expect_rejected(const RawExchange& exchange, int status) {
+  EXPECT_TRUE(exchange.closed) << "connection left open";
+  Parser parser;
+  parser.feed(exchange.reply);
+  const auto response = parser.next_response();
+  ASSERT_TRUE(response.has_value()) << "no response: " << exchange.reply;
+  EXPECT_EQ(response->status, status) << response->body;
+  EXPECT_EQ(parser.buffered(), 0u) << "more after the rejection: "
+                                   << exchange.reply;
+}
+
+/// A server whose handler only counts the requests that reach it.
+std::unique_ptr<Server> counting_server(std::atomic<int>& handled) {
+  return std::make_unique<Server>(0, [&handled](const Request&) {
+    handled.fetch_add(1);
+    return Response::make(200, "ok");
+  });
+}
+
+/// Feeds `wire` to a fresh parser; the status of the ParseError that
+/// next_request() throws, or 0 if it throws none.
+int request_error(std::string_view wire) {
+  Parser parser;
+  parser.feed(wire);
+  try {
+    parser.next_request();
+  } catch (const ParseError& e) {
+    return e.status();
+  }
+  return 0;
 }
 
 /// This process's mapped address space (VmSize) in KiB; 0 if unreadable.
@@ -143,11 +224,52 @@ TEST(HttpMessageTest, MalformedInputsThrow) {
     parser.feed("HTTP/1.1 xyz OK\r\n\r\n");
     EXPECT_THROW(parser.next_response(), std::runtime_error);
   }
+  // Content-Length is digits only: a sign or suffix is 400, not a
+  // wrapped or truncated length.
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+                          "GET /smuggled HTTP/1.1\r\n\r\n"),
+            400);
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: 5x\r\n\r\n"
+                          "hello"),
+            400);
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: \r\n\r\n"), 400);
+  // Over the body limit (or past size_t) is 413, before the body arrives.
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: " +
+                          std::to_string(kMaxRequestBodyBytes + 1) +
+                          "\r\n\r\n"),
+            413);
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: "
+                          "99999999999999999999999\r\n\r\n"),
+            413);
+  // Any Transfer-Encoding is 501: only Content-Length framing exists.
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n"
+                          "\r\n5\r\nhello\r\n0\r\n\r\n"),
+            501);
+  // A header block over the limit is 431, terminated or not.
+  const std::string fill(kMaxRequestHeaderBytes, 'a');
+  EXPECT_EQ(request_error("GET / HTTP/1.1\r\nX-Fill: " + fill), 431);
+  EXPECT_EQ(request_error("GET / HTTP/1.1\r\nX-Fill: " + fill + "\r\n\r\n"),
+            431);
+  // Exactly at the limits is accepted.
+  const std::string head = "GET / HTTP/1.1\r\nX-Fill: ";
+  EXPECT_EQ(request_error(head +
+                          std::string(kMaxRequestHeaderBytes - head.size() - 4,
+                                      'a') +
+                          "\r\n\r\n"),
+            0);
+  EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: " +
+                          std::to_string(kMaxRequestBodyBytes) + "\r\n\r\n"),
+            0);
 }
 
 TEST(HttpMessageTest, ReasonPhrases) {
   EXPECT_EQ(reason_phrase(200), "OK");
   EXPECT_EQ(reason_phrase(503), "Service Unavailable");
+  EXPECT_EQ(reason_phrase(413), "Content Too Large");
+  EXPECT_EQ(reason_phrase(429), "Too Many Requests");
+  EXPECT_EQ(reason_phrase(431), "Request Header Fields Too Large");
+  EXPECT_EQ(reason_phrase(501), "Not Implemented");
+  EXPECT_EQ(reason_phrase(504), "Gateway Timeout");
   EXPECT_EQ(reason_phrase(418), "?");
 }
 
@@ -277,8 +399,7 @@ TEST(HttpServerTest, FinishedConnectionThreadsAreReaped) {
   Server server(0, [](const Request&) { return Response::make(200, "ok"); });
   const auto one_connection = [&server] {
     Client client(server.port());
-    Request request;
-    request.target = "/";
+    Request request;  // GET /
     request.headers["Connection"] = "close";
     return client.send(request).status;
   };
@@ -293,6 +414,87 @@ TEST(HttpServerTest, FinishedConnectionThreadsAreReaped) {
   const std::uint64_t growth_kib = after > before ? after - before : 0;
   EXPECT_LT(growth_kib, 128u * 1024u)
       << "VmSize grew from " << before << " KiB to " << after << " KiB";
+}
+
+TEST(HttpServerTest, BadContentLengthIs400AndSmugglesNothing) {
+  // Read as 2^64-1, "-1" used to make the GET this request's body, and
+  // then serve the same bytes again as a second request.
+  std::atomic<int> handled{0};
+  const auto server = counting_server(handled);
+  expect_rejected(exchange_raw(server->port(),
+                               "POST /a HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+                               "GET /smuggled HTTP/1.1\r\n\r\n"),
+                  400);
+  EXPECT_EQ(handled.load(), 0);
+}
+
+TEST(HttpServerTest, OversizedBodyIs413BeforeItArrives) {
+  // The declared length alone is refused; nothing is buffered for it.
+  std::atomic<int> handled{0};
+  const auto server = counting_server(handled);
+  expect_rejected(exchange_raw(server->port(),
+                               "POST /big HTTP/1.1\r\nContent-Length: " +
+                                   std::to_string(kMaxRequestBodyBytes + 1) +
+                                   "\r\n\r\n"),
+                  413);
+  EXPECT_EQ(handled.load(), 0);
+}
+
+TEST(HttpServerTest, UnterminatedHeaderFloodIs431) {
+  // One byte past the header limit with no blank line: the server stops
+  // buffering and answers instead of waiting for more.
+  std::atomic<int> handled{0};
+  const auto server = counting_server(handled);
+  std::string flood = "GET / HTTP/1.1\r\nX-Fill: ";
+  flood.resize(kMaxRequestHeaderBytes + 1, 'a');
+  expect_rejected(exchange_raw(server->port(), flood), 431);
+  EXPECT_EQ(handled.load(), 0);
+}
+
+TEST(HttpServerTest, ChunkedRequestIs501AndItsChunksAreNotARequest) {
+  std::atomic<int> handled{0};
+  const auto server = counting_server(handled);
+  expect_rejected(exchange_raw(server->port(),
+                               "POST /c HTTP/1.1\r\nTransfer-Encoding: chunked"
+                               "\r\n\r\n5\r\nhello\r\n0\r\n\r\n"),
+                  501);
+  EXPECT_EQ(handled.load(), 0);
+}
+
+TEST(HttpServerTest, DestructorDoesNotWaitForIdleKeepAliveConnection) {
+  // After one request the connection's thread idles in recv(); the
+  // destructor must wake it rather than wait for the client to hang up.
+  auto server = std::make_unique<Server>(
+      0, [](const Request&) { return Response::make(200, "ok"); });
+  const int fd = connect_raw(server->port());
+  ASSERT_GE(fd, 0);
+  set_receive_timeout(fd);
+  ASSERT_TRUE(send_all(fd, Request{}.serialize()));
+  Parser parser;
+  char chunk[4096];
+  std::optional<Response> reply;
+  while (!(reply = parser.next_response())) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0) << "no reply to the first request";
+    parser.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
+  }
+  ASSERT_EQ(reply->status, 200);
+
+  std::promise<void> destroyed;
+  std::future<void> done = destroyed.get_future();
+  std::thread destroyer([&server, &destroyed] {
+    server.reset();
+    destroyed.set_value();
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (returned) {
+    // The server closed its end, so the client reads end-of-stream.
+    EXPECT_EQ(::recv(fd, chunk, sizeof(chunk), 0), 0);
+  }
+  ::close(fd);  // lets a destructor that missed the connection finish
+  destroyer.join();
+  EXPECT_TRUE(returned) << "~Server waited on an idle keep-alive connection";
 }
 
 TEST(HttpClientTest, ConnectFailureThrows) {
