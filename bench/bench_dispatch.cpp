@@ -66,10 +66,18 @@ double seconds_between(ClockTime start, ClockTime stop) {
   return std::chrono::duration<double>(stop - start).count();
 }
 
+/// "f0", "f1", ...: the functions every cell registers and invokes.
+std::string function_name(std::size_t f) {
+  // Appended, not "f" + std::to_string(f): GCC 12 reports a false
+  // -Wrestrict on that inlined concatenation in Release builds.
+  std::string name = "f";
+  name += std::to_string(f);
+  return name;
+}
+
 void register_noop_functions(live::LivePlatform& platform, std::size_t count) {
   for (std::size_t f = 0; f < count; ++f) {
-    platform.register_function("f" + std::to_string(f),
-                               [](live::FunctionContext&) {});
+    platform.register_function(function_name(f), [](live::FunctionContext&) {});
   }
 }
 
@@ -94,7 +102,7 @@ RunOutput run_cell(live::LivePlatform& platform, std::size_t producers,
   std::vector<std::string> names;
   names.reserve(functions);
   for (std::size_t f = 0; f < functions; ++f) {
-    names.push_back("f" + std::to_string(f));
+    names.push_back(function_name(f));
   }
   std::latch gate(producers + 1);
   std::vector<std::thread> threads;

@@ -153,14 +153,6 @@ void BM_ObsDisabledCounterInc(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsDisabledCounterInc);
 
-void BM_ObsDisabledHistogramObserve(benchmark::State& state) {
-  obs::MetricsRegistry registry;  // disabled
-  obs::Histogram& histogram = registry.histogram("bench_ms", {1.0, 10.0, 100.0});
-  for (auto _ : state) histogram.observe(3.5);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsDisabledHistogramObserve);
-
 void BM_ObsDisabledInstant(benchmark::State& state) {
   obs::TraceRecorder recorder;  // disabled
   for (auto _ : state) recorder.instant("cat", "tick", 1.0, 0);

@@ -136,8 +136,11 @@ CellResult bench_watchdog_scan(std::uint64_t n) {
   obs::Watchdog watchdog;
   std::vector<std::shared_ptr<obs::HeartbeatSource>> sources;
   for (int i = 0; i < 16; ++i) {
-    sources.push_back(watchdog.register_source(
-        "s" + std::to_string(i), [] { return 1.0; }, 0));
+    // Appended, not "s" + std::to_string(i): GCC 12 reports a false
+    // -Wrestrict on that inlined concatenation in Release builds.
+    std::string name = "s";
+    name += std::to_string(i);
+    sources.push_back(watchdog.register_source(name, [] { return 1.0; }, 0));
     sources.back()->beat(1);
   }
   std::uint64_t healthy = 0;

@@ -14,9 +14,8 @@ obs::Counter& windows_flushed_total() {
   return c;
 }
 
-obs::Histogram& batch_size_histogram() {
-  static obs::Histogram& h =
-      obs::metrics().histogram("fb_batch_size", obs::size_buckets());
+obs::QuantileHistogram& batch_size_histogram() {
+  static obs::QuantileHistogram& h = obs::metrics().quantile("fb_batch_size");
   return h;
 }
 
@@ -60,7 +59,7 @@ std::vector<FunctionGroup> InvokeMapper::flush(SimTime now) {
     ++windows_flushed_;
     windows_flushed_total().inc();
     for (const FunctionGroup& group : groups) {
-      batch_size_histogram().observe(static_cast<double>(group.size()));
+      batch_size_histogram().record(static_cast<double>(group.size()));
     }
     if (now != kNoCloseTime && obs::tracer().enabled()) {
       obs::tracer().complete(

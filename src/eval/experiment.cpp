@@ -185,10 +185,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   if (obs::tracer().enabled()) emit_invocation_spans(records);
   if (obs::metrics().enabled()) {
     obs::metrics().counter("fb_invocations_total").inc(records.size());
-    obs::Histogram& response_ms = obs::metrics().histogram(
-        "fb_response_latency_ms", obs::latency_ms_buckets());
+    obs::QuantileHistogram& response_ms =
+        obs::metrics().quantile("fb_response_latency_ms");
     for (const core::InvocationRecord& record : records) {
-      if (record.completed) response_ms.observe(to_millis(record.response_latency()));
+      if (record.completed) response_ms.record(to_millis(record.response_latency()));
     }
   }
 

@@ -119,6 +119,7 @@ std::optional<std::size_t> Parser::header_end() const {
 Parser::Framing Parser::parse_headers(std::string_view block,
                                       Headers& headers) {
   Framing framing;
+  bool has_length = false;
   std::size_t start = 0;
   while (start < block.size()) {
     const auto eol = block.find("\r\n", start);
@@ -133,7 +134,15 @@ Parser::Framing Parser::parse_headers(std::string_view block,
     const std::string_view name = trim(line.substr(0, colon));
     const std::string_view value = trim(line.substr(colon + 1));
     if (iequals(name, "content-length")) {
-      framing.content_length = parse_content_length(value);
+      // Differing repeats are 400: whichever one framed the body, the
+      // other's bytes would be read as the next request. An identical
+      // repeat frames the body the same way.
+      const std::size_t length = parse_content_length(value);
+      if (has_length && length != framing.content_length) {
+        throw ParseError(400, "http: conflicting Content-Length headers");
+      }
+      framing.content_length = length;
+      has_length = true;
     } else if (iequals(name, "transfer-encoding")) {
       framing.transfer_encoding = true;
     }

@@ -105,9 +105,7 @@ HttpGateway::HttpGateway(LivePlatform& platform, GatewayOptions options)
   obs::metrics().counter("fb_live_shed_total");
   obs::metrics().counter("fb_live_deadline_expired_total");
   obs::metrics().counter("fb_live_cancelled_total");
-  obs::metrics().histogram("fb_batch_size", obs::size_buckets());
-  obs::metrics().histogram("fb_live_queue_ms", obs::latency_ms_buckets());
-  obs::metrics().histogram("fb_live_exec_ms", obs::latency_ms_buckets());
+  obs::metrics().quantile("fb_batch_size");
   obs::metrics().quantile("fb_live_queue_ms_quantiles");
   obs::metrics().quantile("fb_live_exec_ms_quantiles");
   // The flight recorder is the always-on black box: a served platform

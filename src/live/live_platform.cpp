@@ -38,19 +38,8 @@ obs::Counter& live_windows_flushed_total() {
   static obs::Counter& c = obs::metrics().counter("fb_windows_flushed_total");
   return c;
 }
-obs::Histogram& live_batch_size() {
-  static obs::Histogram& h =
-      obs::metrics().histogram("fb_batch_size", obs::size_buckets());
-  return h;
-}
-obs::Histogram& live_queue_ms() {
-  static obs::Histogram& h =
-      obs::metrics().histogram("fb_live_queue_ms", obs::latency_ms_buckets());
-  return h;
-}
-obs::Histogram& live_exec_ms() {
-  static obs::Histogram& h =
-      obs::metrics().histogram("fb_live_exec_ms", obs::latency_ms_buckets());
+obs::QuantileHistogram& live_batch_size() {
+  static obs::QuantileHistogram& h = obs::metrics().quantile("fb_batch_size");
   return h;
 }
 obs::Counter& live_shed_total() {
@@ -75,17 +64,6 @@ obs::QuantileHistogram& live_exec_quantiles() {
   static obs::QuantileHistogram& q =
       obs::metrics().quantile("fb_live_exec_ms_quantiles");
   return q;
-}
-
-/// Per-function duration/wait quantile series. The registry-map lookup
-/// is gated on enabled() so the disabled hot path stays one relaxed
-/// load — only scraped platforms pay the map resolution.
-void observe_function_quantiles(const std::string& function, double queue_ms,
-                                double exec_ms) {
-  if (!obs::metrics().enabled()) return;
-  const std::string label = "{function=\"" + function + "\"}";
-  obs::metrics().quantile("fb_live_queue_ms_quantiles" + label).record(queue_ms);
-  obs::metrics().quantile("fb_live_exec_ms_quantiles" + label).record(exec_ms);
 }
 
 /// Consecutive sheds that declare a shed storm (one incident per burst).
@@ -166,10 +144,18 @@ void LivePlatform::shutdown() {
 }
 
 void LivePlatform::register_function(const std::string& name, FunctionHandler handler) {
+  // The per-function latency series are resolved here, once, so the
+  // completion path records into them without building names or taking
+  // the registry lock.
+  const std::string label = "{function=\"" + name + "\"}";
+  RegisteredFunction entry{
+      std::move(handler),
+      &obs::metrics().quantile("fb_live_queue_ms_quantiles" + label),
+      &obs::metrics().quantile("fb_live_exec_ms_quantiles" + label)};
   MutexLock lock(mutex_);
   auto next = std::make_shared<FunctionMap>(
       *functions_.load(std::memory_order_acquire));
-  (*next)[name] = std::move(handler);
+  (*next)[name] = std::move(entry);
   functions_.store(std::shared_ptr<const FunctionMap>(std::move(next)),
                    std::memory_order_release);
 }
@@ -186,14 +172,15 @@ std::future<InvocationReport> LivePlatform::invoke(const std::string& name,
         request->submitted + std::chrono::duration_cast<ClockTime>(deadline);
   }
   {
-    // Resolve the handler once, lock-free, from the registration
-    // snapshot; dispatch and execution never consult the map again.
+    // Resolve the handler and its latency series once, lock-free, from
+    // the registration snapshot; dispatch and execution never consult
+    // the map again.
     const auto functions = functions_.load(std::memory_order_acquire);
     const auto it = functions->find(name);
     if (it == functions->end()) {
       throw std::invalid_argument("LivePlatform::invoke: unknown function " + name);
     }
-    request->handler = it->second;
+    request->registered = it->second;
   }
   request->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   live_requests_total().inc();
@@ -390,17 +377,16 @@ void LivePlatform::run_request(LiveContainer& container, RequestPtr request) {
                          /*attempt=*/1);
     FunctionContext context{container.multiplexer(), store_, clients_, request->id,
                             request->payload};
-    request->handler(context);
+    request->registered.handler(context);
     const ClockTime exec_end = clock_->now();
     InvocationReport report;
     report.queue_ms = ms_between(request->submitted, exec_start);
     report.exec_ms = ms_between(exec_start, exec_end);
     report.total_ms = ms_between(request->submitted, exec_end);
-    live_queue_ms().observe(report.queue_ms);
-    live_exec_ms().observe(report.exec_ms);
     live_queue_quantiles().record(report.queue_ms);
     live_exec_quantiles().record(report.exec_ms);
-    observe_function_quantiles(request->function, report.queue_ms, report.exec_ms);
+    request->registered.queue_ms->record(report.queue_ms);
+    request->registered.exec_ms->record(report.exec_ms);
     if (obs::tracer().enabled()) {
       const Json function_arg = Json(request->function);
       obs::tracer().name_thread(request->id, "inv " + std::to_string(request->id));
@@ -465,7 +451,7 @@ void LivePlatform::flush_shard(std::size_t shard, std::vector<RequestPtr> items,
     batch.groups.reserve(groups.size());
     for (auto& [function, requests] : groups) {
       if (options_.policy == LivePolicy::kFaasBatch) {
-        live_batch_size().observe(static_cast<double>(requests.size()));
+        live_batch_size().record(static_cast<double>(requests.size()));
       }
       batch.groups.emplace_back(function, std::move(requests));
     }

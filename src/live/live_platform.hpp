@@ -29,6 +29,7 @@
 #include "core/resource_multiplexer.hpp"
 #include "live/dispatch/sharded_dispatcher.hpp"
 #include "live/live_container.hpp"
+#include "obs/metrics_registry.hpp"
 #include "obs/watchdog.hpp"
 #include "storage/client.hpp"
 #include "storage/object_store.hpp"
@@ -184,6 +185,15 @@ class LivePlatform {
   const LivePlatformOptions& options() const { return options_; }
 
  private:
+  /// One registration: the handler and its per-function latency series
+  /// (`fb_live_{queue,exec}_ms_quantiles{function="..."}`), resolved
+  /// once in register_function.
+  struct RegisteredFunction {
+    FunctionHandler handler;
+    obs::QuantileHistogram* queue_ms = nullptr;
+    obs::QuantileHistogram* exec_ms = nullptr;
+  };
+
   struct Request {
     std::string function;
     std::string payload;
@@ -191,13 +201,13 @@ class LivePlatform {
     ClockTime submitted;
     /// Absolute time after which the request must not start executing.
     ClockTime deadline = ClockTime::max();
-    /// Resolved at admission from the functions snapshot, so dispatch
+    /// Copied at admission from the functions snapshot, so dispatch
     /// and execution never need the registration map (or its lock).
-    FunctionHandler handler;
+    RegisteredFunction registered;
     std::promise<InvocationReport> promise;
   };
   using RequestPtr = std::shared_ptr<Request>;
-  using FunctionMap = std::map<std::string, FunctionHandler>;
+  using FunctionMap = std::map<std::string, RegisteredFunction>;
 
   /// One window flush from one shard: requests grouped by function.
   struct FlushedBatch {

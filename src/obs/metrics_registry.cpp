@@ -1,7 +1,6 @@
 #include "obs/metrics_registry.hpp"
 
 #include <cstdio>
-#include <stdexcept>
 #include <utility>
 
 namespace faasbatch::obs {
@@ -10,8 +9,8 @@ namespace {
 /// Shortest decimal that round-trips; avoids "1.000000" noise in the
 /// exposition while keeping exact integers exact.
 std::string format_double(double v) {
-  // Exact integers (bucket bounds like 10, 512) print as plain integers,
-  // never scientific notation — "le=\"10\"" rather than "le=\"1e+01\"".
+  // Exact integers (a batch-size sum, a gauge of 10 containers) print as
+  // plain integers, never scientific notation — "10" rather than "1e+01".
   if (v == static_cast<double>(static_cast<long long>(v)) && v > -1e15 &&
       v < 1e15) {
     return std::to_string(static_cast<long long>(v));
@@ -50,34 +49,6 @@ std::string join_labels(const std::string& base, const std::string& labels,
 
 }  // namespace
 
-Histogram::Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds)
-    : enabled_(enabled), bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (bounds_[i] <= bounds_[i - 1]) {
-      throw std::invalid_argument("Histogram: bounds not strictly increasing");
-    }
-  }
-}
-
-std::uint64_t Histogram::count() const {
-  std::uint64_t total = 0;
-  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
-  return total;
-}
-
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
-std::vector<double> latency_ms_buckets() {
-  return {0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000};
-}
-
-std::vector<double> size_buckets() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   // Leaked singleton: usable during static destruction of clients.
   static MetricsRegistry* instance = new MetricsRegistry();  // fb-lint-allow(naked-new)
@@ -110,20 +81,6 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  MutexLock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(name,
-                      std::unique_ptr<Histogram>(new Histogram(  // fb-lint-allow(naked-new)
-                          &enabled_, std::move(bounds))))
-             .first;
-  }
-  return *it->second;
-}
-
 QuantileHistogram& MetricsRegistry::quantile(const std::string& name) {
   MutexLock lock(mutex_);
   auto it = quantiles_.find(name);
@@ -141,7 +98,6 @@ void MetricsRegistry::reset() {
   MutexLock lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
   for (auto& [name, q] : quantiles_) q->reset();
 }
 
@@ -161,22 +117,6 @@ Json MetricsRegistry::snapshot() const {
   }
   Json gauges;
   for (const auto& [name, g] : gauges_) gauges[name] = g->value();
-  Json histograms;
-  for (const auto& [name, h] : histograms_) {
-    Json entry;
-    entry["count"] = static_cast<std::int64_t>(h->count());
-    entry["sum"] = h->sum();
-    JsonArray bounds;
-    JsonArray counts;
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      bounds.push_back(h->bounds()[i]);
-      counts.push_back(static_cast<std::int64_t>(h->bucket_count(i)));
-    }
-    counts.push_back(static_cast<std::int64_t>(h->bucket_count(h->bounds().size())));
-    entry["bounds"] = bounds;
-    entry["counts"] = counts;
-    histograms[name] = std::move(entry);
-  }
   Json quantiles;
   for (const auto& [name, q] : quantiles_) {
     const QuantileSummary s = q->summary();
@@ -192,7 +132,6 @@ Json MetricsRegistry::snapshot() const {
   Json out;
   out["counters"] = std::move(counters);
   out["gauges"] = std::move(gauges);
-  out["histograms"] = std::move(histograms);
   out["quantiles"] = std::move(quantiles);
   return out;
 }
@@ -219,24 +158,6 @@ std::string MetricsRegistry::prometheus_text() const {
     const auto [base, labels] = split_labels(name);
     type_line(base, "gauge");
     out += join_labels(base, labels) + " " + format_double(g->value()) + "\n";
-  }
-  last_typed.clear();
-  for (const auto& [name, h] : histograms_) {
-    const auto [base, labels] = split_labels(name);
-    type_line(base, "histogram");
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      cumulative += h->bucket_count(i);
-      out += join_labels(base + "_bucket", labels,
-                         "le=\"" + format_double(h->bounds()[i]) + "\"") +
-             " " + std::to_string(cumulative) + "\n";
-    }
-    cumulative += h->bucket_count(h->bounds().size());
-    out += join_labels(base + "_bucket", labels, "le=\"+Inf\"") + " " +
-           std::to_string(cumulative) + "\n";
-    out += join_labels(base + "_sum", labels) + " " + format_double(h->sum()) + "\n";
-    out += join_labels(base + "_count", labels) + " " + std::to_string(cumulative) +
-           "\n";
   }
   last_typed.clear();
   for (const auto& [name, q] : quantiles_) {

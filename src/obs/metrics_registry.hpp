@@ -1,10 +1,11 @@
-// MetricsRegistry: named counters, gauges, and fixed-bucket histograms.
+// MetricsRegistry: named counters, gauges, and quantile histograms.
 //
 // The registry is the platform's always-on production telemetry surface:
 // components record counts (cold starts, multiplexer hits), levels
 // (live containers), and distributions (batch size, response latency)
 // against process-global instruments, and the HTTP gateway / CLI expose
-// them as a Prometheus text page or a JSON snapshot.
+// them as a Prometheus text page or a JSON snapshot. Every distribution
+// is one log-bucketed QuantileHistogram, exposed as a Prometheus summary.
 //
 // Cost model: every instrument holds a pointer to its registry's enabled
 // flag and checks it with one relaxed atomic load before touching the
@@ -17,7 +18,7 @@
 //
 // Instrument names follow Prometheus conventions (fb_*_total for
 // counters) and may carry a literal label set: "fb_x_total{k=\"v\"}".
-// Exposition splices histogram "le" labels into any existing set.
+// Exposition splices summary "quantile" labels into any existing set.
 #pragma once
 
 #include <atomic>
@@ -25,7 +26,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/json.hpp"
 #include "common/ordered_mutex.hpp"
@@ -60,13 +60,6 @@ class Gauge {
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.store(v, std::memory_order_relaxed);
   }
-  void add(double delta) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -79,48 +72,6 @@ class Gauge {
   const std::atomic<bool>* enabled_;
   std::atomic<double> value_{0.0};
 };
-
-/// Fixed-bucket histogram. Bucket i counts observations <= bound[i]
-/// (Prometheus `le` semantics, first matching bucket); one overflow
-/// bucket catches everything above the last bound. Exposition emits the
-/// cumulative counts Prometheus expects.
-class Histogram {
- public:
-  void observe(double v) {
-    if (!enabled_->load(std::memory_order_relaxed)) return;
-    std::size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i]) ++i;
-    counts_[i].fetch_add(1, std::memory_order_relaxed);
-    double current = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(current, current + v,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// Non-cumulative count of bucket i; index bounds().size() is overflow.
-  std::uint64_t bucket_count(std::size_t i) const {
-    return counts_.at(i).load(std::memory_order_relaxed);
-  }
-  std::uint64_t count() const;
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(const std::atomic<bool>* enabled, std::vector<double> bounds);
-  void reset();
-
-  // Metric words: relaxed by design, nothing else rides on them.
-  // fb-atomic-counter
-  const std::atomic<bool>* enabled_;
-  std::vector<double> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;  // bounds + overflow
-  std::atomic<double> sum_{0.0};  // running sum; fb-atomic-counter
-};
-
-/// Common bucket layouts.
-std::vector<double> latency_ms_buckets();  // 0.5 ms .. 10 s, ~log spaced
-std::vector<double> size_buckets();        // 1, 2, 4, ... 512
 
 class MetricsRegistry {
  public:
@@ -135,14 +86,12 @@ class MetricsRegistry {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Returns the instrument registered under `name`, creating it on first
-  /// use. References stay valid for the registry's lifetime. Re-requesting
-  /// a histogram name with different bounds keeps the original bounds.
+  /// use. References stay valid for the registry's lifetime.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name, std::vector<double> bounds);
   /// HDR-style log-bucketed histogram with p50/p95/p99/p999 extraction;
-  /// exposed as a Prometheus summary (quantile labels) rather than
-  /// cumulative le-buckets.
+  /// the one distribution instrument, exposed as a Prometheus summary
+  /// (quantile labels, _sum, _count).
   QuantileHistogram& quantile(const std::string& name);
 
   /// Zeroes every instrument's value (instruments stay registered).
@@ -162,7 +111,6 @@ class MetricsRegistry {
   mutable Mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_ FB_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ FB_GUARDED_BY(mutex_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_ FB_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<QuantileHistogram>> quantiles_
       FB_GUARDED_BY(mutex_);
 };

@@ -1,23 +1,21 @@
 // QuantileHistogram: HDR-style log-bucketed lock-free latency recording.
 //
-// The fixed-bucket obs::Histogram answers "how many fell under 50 ms";
-// adaptive control (dispatch-window tuning, SLO-aware batching) and tail
-// diagnosis need "what IS p99 right now". This histogram buckets values
-// logarithmically — every octave (factor of 2) is split into a fixed
-// number of linear sub-buckets — so p50/p95/p99/p999 extraction has a
-// bounded RELATIVE error everywhere in the range instead of the
-// fixed-bucket layout's unbounded error between sparse bounds. With 8
-// sub-buckets per octave the worst-case relative error of a reported
-// quantile is 1/16 ≈ 6.7% (half a sub-bucket), uniformly from
-// microseconds to hours.
+// The registry's one distribution instrument: batch sizes, cold starts
+// and latencies all record here, and the exposition derives a Prometheus
+// summary (quantile labels, _sum, _count) from the buckets. It buckets
+// values logarithmically — every octave (factor of 2) is split into a
+// fixed number of linear sub-buckets — so p50/p95/p99/p999 extraction has
+// a bounded RELATIVE error everywhere in the range. With 8 sub-buckets
+// per octave the worst-case relative error of a reported quantile is
+// 1/16 ≈ 6.7% (half a sub-bucket), uniformly from microseconds to hours.
 //
 // Why log-spaced and not fixed bounds: latency is multiplicative —
 // regressions multiply durations (a 2x slowdown moves every value one
 // octave up), and SLOs are stated as ratios of the norm. Buckets with
 // constant relative width see a 2x shift as a constant bucket offset at
-// every scale; fixed-bucket layouts saturate (everything in the overflow
-// bucket) or waste resolution. The same reasoning drives HdrHistogram
-// and Prometheus native histograms.
+// every scale; fixed-bound layouts saturate (everything in the overflow
+// bucket) or waste resolution, and need a bound list per series. The
+// same reasoning drives HdrHistogram and Prometheus native histograms.
 //
 // Cost model matches the other instruments: one relaxed atomic load when
 // the owning registry is disabled; when enabled, recording is a frexp,

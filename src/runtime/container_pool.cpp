@@ -27,9 +27,8 @@ obs::Counter& keepalive_reclaims_total() {
   static obs::Counter& c = obs::metrics().counter("fb_keepalive_reclaims_total");
   return c;
 }
-obs::Histogram& cold_start_ms_histogram() {
-  static obs::Histogram& h =
-      obs::metrics().histogram("fb_cold_start_ms", obs::latency_ms_buckets());
+obs::QuantileHistogram& cold_start_ms_histogram() {
+  static obs::QuantileHistogram& h = obs::metrics().quantile("fb_cold_start_ms");
   return h;
 }
 obs::Gauge& live_containers_gauge() {
@@ -125,7 +124,7 @@ void ContainerPool::provision_attempt(const trace::FunctionProfile& profile,
               raw->create_cpu_group();
               raw->set_state(ContainerState::kActive);
               const SimDuration latency = machine_.simulator().now() - started;
-              cold_start_ms_histogram().observe(to_millis(latency));
+              cold_start_ms_histogram().record(to_millis(latency));
               if (obs::tracer().enabled()) {
                 obs::tracer().complete(
                     "container", "cold_start", static_cast<double>(started),

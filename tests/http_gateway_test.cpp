@@ -372,7 +372,9 @@ TEST_F(GatewayFixture, MetricsEndpointServesPrometheusText) {
   EXPECT_NE(response.body.find("# TYPE fb_live_requests_total counter"),
             std::string::npos);
   EXPECT_NE(response.body.find("fb_cold_starts_total"), std::string::npos);
-  EXPECT_NE(response.body.find("fb_batch_size_bucket"), std::string::npos);
+  // Every distribution is one summary; no fixed-bucket histogram lines.
+  EXPECT_NE(response.body.find("# TYPE fb_batch_size summary"), std::string::npos);
+  EXPECT_EQ(response.body.find("_bucket"), std::string::npos);
   // Pre-registered series appear even before their code paths run.
   EXPECT_NE(response.body.find("fb_mux_hits_total"), std::string::npos);
   EXPECT_NE(response.body.find("fb_mux_misses_total"), std::string::npos);

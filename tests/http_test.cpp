@@ -233,6 +233,15 @@ TEST(HttpMessageTest, MalformedInputsThrow) {
                           "hello"),
             400);
   EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: \r\n\r\n"), 400);
+  // Two differing Content-Length values are 400: keeping the last one
+  // used to give an empty body and a second request named "helloGET".
+  // An identical repeat is accepted.
+  EXPECT_EQ(request_error("POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                          "Content-Length: 0\r\n\r\nhelloGET /b HTTP/1.1\r\n\r\n"),
+            400);
+  EXPECT_EQ(request_error("POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                          "content-length: 5\r\n\r\nhello"),
+            0);
   // Over the body limit (or past size_t) is 413, before the body arrives.
   EXPECT_EQ(request_error("POST / HTTP/1.1\r\nContent-Length: " +
                           std::to_string(kMaxRequestBodyBytes + 1) +
@@ -424,6 +433,13 @@ TEST(HttpServerTest, BadContentLengthIs400AndSmugglesNothing) {
   expect_rejected(exchange_raw(server->port(),
                                "POST /a HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
                                "GET /smuggled HTTP/1.1\r\n\r\n"),
+                  400);
+  // With two differing lengths, neither framing is served: taking the
+  // last (0) used to answer POST /a and then serve "helloGET /b".
+  expect_rejected(exchange_raw(server->port(),
+                               "POST /a HTTP/1.1\r\nContent-Length: 5\r\n"
+                               "Content-Length: 0\r\n\r\nhello"
+                               "GET /b HTTP/1.1\r\n\r\n"),
                   400);
   EXPECT_EQ(handled.load(), 0);
 }

@@ -487,12 +487,18 @@ TEST(ShardedDispatchTest, ManyFunctionsSpreadAcrossShardsAndStillBatch) {
   options.shards = 8;
   LivePlatform platform(options);
   const int kFunctions = 16;
+  std::vector<std::string> names;
   for (int f = 0; f < kFunctions; ++f) {
-    platform.register_function("f" + std::to_string(f), make_fib_handler(8));
+    // Appended, not "f" + std::to_string(f): GCC 12 reports a false
+    // -Wrestrict on that inlined concatenation in Release builds.
+    std::string name = "f";
+    name += std::to_string(f);
+    platform.register_function(name, make_fib_handler(8));
+    names.push_back(std::move(name));
   }
   std::vector<std::future<InvocationReport>> futures;
   for (int i = 0; i < kFunctions * 8; ++i) {
-    futures.push_back(platform.invoke("f" + std::to_string(i % kFunctions)));
+    futures.push_back(platform.invoke(names[i % kFunctions]));
   }
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
 
@@ -560,7 +566,10 @@ TEST(ShardedDispatchTest, MaxQueueBoundsEachShardSeparately) {
   // other parity. The per-shard counters below confirm the split.
   const std::string a = "a";
   std::string b = "b";
-  for (int i = 0; fnv1a(b) % 2 == fnv1a(a) % 2; ++i) b = "b" + std::to_string(i);
+  for (int i = 0; fnv1a(b) % 2 == fnv1a(a) % 2; ++i) {
+    b = "b";
+    b += std::to_string(i);  // appended for the same GCC 12 -Wrestrict reason
+  }
   std::atomic<int> ran{0};
   for (const std::string& name : {a, b}) {
     platform.register_function(name, [&ran](FunctionContext&) { ++ran; });

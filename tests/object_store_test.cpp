@@ -73,7 +73,10 @@ TEST(ObjectStoreTest, ConcurrentAccessIsSafe) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::string key = "k" + std::to_string((t * kOpsPerThread + i) % 32);
+        // Appended, not "k" + std::to_string(...): GCC 12 reports a false
+        // -Wrestrict on that inlined concatenation in Release builds.
+        std::string key = "k";
+        key += std::to_string((t * kOpsPerThread + i) % 32);
         store.put(key, std::string(16, 'a'));
         (void)store.get(key);
       }

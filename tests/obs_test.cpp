@@ -50,13 +50,14 @@ TEST(MetricsRegistryTest, DisabledInstrumentsRecordNothing) {
   obs::MetricsRegistry registry;  // disabled by default
   obs::Counter& counter = registry.counter("c_total");
   obs::Gauge& gauge = registry.gauge("g");
-  obs::Histogram& histogram = registry.histogram("h", {1.0, 2.0});
+  obs::QuantileHistogram& histogram = registry.quantile("h");
   counter.inc();
   gauge.set(5.0);
-  histogram.observe(1.5);
+  histogram.record(1.5);
   EXPECT_EQ(counter.value(), 0u);
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.sum(), 0.0);
 }
 
 TEST(MetricsRegistryTest, CounterConcurrentIncrements) {
@@ -76,74 +77,63 @@ TEST(MetricsRegistryTest, CounterConcurrentIncrements) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(MetricsRegistryTest, HistogramBucketBoundaries) {
-  obs::MetricsRegistry registry;
-  registry.set_enabled(true);
-  obs::Histogram& h = registry.histogram("h", {1.0, 2.0, 4.0});
-  // Prometheus le semantics: an observation equal to a bound lands in
-  // that bound's bucket, strictly above it falls through to the next.
-  h.observe(0.5);  // bucket le=1
-  h.observe(1.0);  // bucket le=1 (boundary inclusive)
-  h.observe(1.5);  // bucket le=2
-  h.observe(2.0);  // bucket le=2
-  h.observe(4.0);  // bucket le=4
-  h.observe(9.0);  // overflow (+Inf)
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);  // overflow
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 9.0);
-}
-
-TEST(MetricsRegistryTest, HistogramRejectsUnsortedBounds) {
-  obs::MetricsRegistry registry;
-  EXPECT_THROW(registry.histogram("bad", {2.0, 1.0}), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("dup", {1.0, 1.0}), std::invalid_argument);
-}
-
 TEST(MetricsRegistryTest, PrometheusTextExposition) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   registry.counter("fb_cold_starts_total").inc(3);
   registry.gauge("fb_live_containers").set(2.0);
-  obs::Histogram& h = registry.histogram("fb_batch_size", {1.0, 2.0});
-  h.observe(1.0);
-  h.observe(2.0);
-  h.observe(5.0);
+  obs::QuantileHistogram& h = registry.quantile("fb_batch_size");
+  h.record(1.0);
+  h.record(2.0);
+  h.record(5.0);
   const std::string text = registry.prometheus_text();
   EXPECT_NE(text.find("# TYPE fb_cold_starts_total counter"), std::string::npos);
   EXPECT_NE(text.find("fb_cold_starts_total 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE fb_live_containers gauge"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE fb_batch_size histogram"), std::string::npos);
-  // Cumulative buckets: le="2" includes le="1"; +Inf includes everything.
-  EXPECT_NE(text.find("fb_batch_size_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("fb_batch_size_bucket{le=\"2\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("fb_batch_size_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("fb_batch_size_count 3"), std::string::npos);
-  EXPECT_NE(text.find("fb_batch_size_sum 8"), std::string::npos);
+  // A distribution is one summary: four quantile lines, _sum, _count,
+  // and no cumulative buckets.
+  EXPECT_NE(text.find("# TYPE fb_batch_size summary\n"), std::string::npos);
+  for (const char* q : {"0.5", "0.95", "0.99", "0.999"}) {
+    EXPECT_NE(text.find(std::string("fb_batch_size{quantile=\"") + q + "\"} "),
+              std::string::npos)
+        << q;
+  }
+  EXPECT_NE(text.find("fb_batch_size_count 3\n"), std::string::npos);
+  EXPECT_NE(text.find("fb_batch_size_sum 8\n"), std::string::npos);
+  EXPECT_EQ(text.find("_bucket"), std::string::npos);
+  EXPECT_EQ(text.find(" histogram\n"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, LabelledNamesSpliceLeIntoLabelSet) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
-  obs::Histogram& h =
-      registry.histogram("fb_exec_ms{scheduler=\"faasbatch\"}", {10.0});
-  h.observe(5.0);
+  obs::QuantileHistogram& h =
+      registry.quantile("fb_exec_ms{scheduler=\"faasbatch\"}");
+  h.record(5.0);
   const std::string text = registry.prometheus_text();
-  EXPECT_NE(text.find("fb_exec_ms_bucket{scheduler=\"faasbatch\",le=\"10\"} 1"),
+  // The quantile label goes after the existing set; _sum and _count keep
+  // the set as it is.
+  EXPECT_NE(text.find("fb_exec_ms{scheduler=\"faasbatch\",quantile=\"0.5\"} "),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE fb_exec_ms histogram"), std::string::npos);
+  EXPECT_NE(text.find("fb_exec_ms_sum{scheduler=\"faasbatch\"} 5\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("fb_exec_ms_count{scheduler=\"faasbatch\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE fb_exec_ms summary"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsWellFormedJson) {
   obs::MetricsRegistry registry;
   registry.set_enabled(true);
   registry.counter("c_total").inc(2);
-  registry.histogram("h", {1.0}).observe(0.5);
+  registry.gauge("g").set(1.5);
+  registry.quantile("h").record(0.5);
   const Json round_trip = Json::parse(registry.snapshot().dump());
   EXPECT_EQ(round_trip.at("counters").at("c_total").as_int(), 2);
-  EXPECT_EQ(round_trip.at("histograms").at("h").at("count").as_int(), 1);
+  EXPECT_EQ(round_trip.at("gauges").at("g").as_double(), 1.5);
+  EXPECT_EQ(round_trip.at("quantiles").at("h").at("count").as_int(), 1);
+  EXPECT_EQ(round_trip.at("quantiles").at("h").at("sum").as_double(), 0.5);
+  EXPECT_FALSE(round_trip.contains("histograms"));
 }
 
 // --- TraceRecorder ---
@@ -350,10 +340,23 @@ TEST(ObsSimulationTest, MetricsCoverColdStartsAndBatchSizes) {
             result.cold_starts);
   EXPECT_EQ(obs::metrics().counter("fb_invocations_total").value(),
             workload.events.size());
-  EXPECT_GT(obs::metrics().counter("fb_faasbatch_groups_total").value(), 0u);
+  const std::uint64_t groups =
+      obs::metrics().counter("fb_faasbatch_groups_total").value();
+  EXPECT_GT(groups, 0u);
+  // Each distribution sample is recorded once: one batch-size sample per
+  // dispatched group, covering every invocation exactly once, and one
+  // response-latency sample per completed invocation.
+  ASSERT_EQ(result.completed, workload.events.size());  // fault-free run
+  const obs::QuantileHistogram& batch_size = obs::metrics().quantile("fb_batch_size");
+  EXPECT_EQ(batch_size.count(), groups);
+  EXPECT_EQ(batch_size.sum(), static_cast<double>(workload.events.size()));
+  EXPECT_EQ(obs::metrics().quantile("fb_response_latency_ms").count(),
+            result.completed);
+  EXPECT_EQ(obs::metrics().quantile("fb_cold_start_ms").count(), result.cold_starts);
   const std::string text = obs::metrics().prometheus_text();
-  EXPECT_NE(text.find("fb_batch_size_bucket"), std::string::npos);
-  EXPECT_NE(text.find("fb_response_latency_ms_bucket"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE fb_batch_size summary"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE fb_response_latency_ms summary"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE fb_cold_start_ms summary"), std::string::npos);
 }
 
 // --- Live platform: spans carry the injected clock's time ---
