@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
           Json{static_cast<std::int64_t>(cell.result.transfer.steals)};
       o["stolen"] =
           Json{static_cast<std::int64_t>(cell.result.transfer.stolen)};
-      bench_list.push_back(Json{std::move(o)});
+      bench_list.emplace_back(std::move(o));
     }
     root["benchmarks"] = Json{std::move(bench_list)};
     std::ofstream out(*path);

@@ -10,11 +10,11 @@
 //     core count serialize in the kernel, not on the ring.
 //  2. e2e — submit-to-drain throughput and total_ms percentiles with a
 //     real clock and a short batching window, so the whole pipeline
-//     (flush loops, worker pool, containers) is on the path.
+//     (flush loops, container placement, containers) is on the path.
 //
 // Usage:
-//   bench_dispatch [quick=1] [per_producer=N] [shards=8] [workers=2]
-//                  [window_ms=2] [functions=8] [reps=3] [out=dispatch.json]
+//   bench_dispatch [quick=1] [per_producer=N] [shards=8] [window_ms=2]
+//                  [functions=8] [reps=3] [out=dispatch.json]
 //                  [--trace t.json] [--metrics]
 //
 // Output: a human table plus optional JSON (out=) consumed by
@@ -45,7 +45,6 @@ struct BenchSettings {
   std::size_t per_producer = 300;
   std::size_t e2e_per_producer = 100;
   std::size_t shards = 8;
-  std::size_t workers = 2;
   std::size_t functions = 8;
   /// Repetitions per cell; the best run is reported (standard practice
   /// on a noisy shared box — the minimum time is the least-perturbed).
@@ -153,7 +152,6 @@ CellResult bench_invoke_path(std::size_t producers, const BenchSettings& s) {
   options.window = std::chrono::milliseconds(50);
   options.clock = &clock;
   options.shards = s.shards;
-  options.dispatch_workers = s.workers;
   options.shard_ring_capacity = total;  // rounded up to a power of two
   live::LivePlatform platform(options);
   register_noop_functions(platform, s.functions);
@@ -181,7 +179,6 @@ CellResult bench_e2e(std::size_t producers, const BenchSettings& s) {
   options.policy = live::LivePolicy::kFaasBatch;
   options.window = s.window;
   options.shards = s.shards;
-  options.dispatch_workers = s.workers;
   live::LivePlatform platform(options);
   register_noop_functions(platform, s.functions);
 
@@ -258,7 +255,6 @@ int main(int argc, char** argv) {
   s.e2e_per_producer = static_cast<std::size_t>(
       config.get_int("e2e_per_producer", quick ? 25 : 100));
   s.shards = static_cast<std::size_t>(config.get_int("shards", 8));
-  s.workers = static_cast<std::size_t>(config.get_int("workers", 2));
   s.functions = static_cast<std::size_t>(config.get_int("functions", 8));
   s.window = std::chrono::milliseconds(config.get_int("window_ms", 2));
   s.reps = static_cast<std::size_t>(config.get_int("reps", 3));
@@ -269,7 +265,7 @@ int main(int argc, char** argv) {
 
   const unsigned cores = std::thread::hardware_concurrency();
   std::cout << "# bench_dispatch — sharded pipeline (N=" << s.shards
-            << ", workers=" << s.workers << ", " << s.functions
+            << ", " << s.functions
             << " functions, " << cores << " hardware threads)\n\n";
 
   std::vector<CellResult> cells;
@@ -291,7 +287,6 @@ int main(int argc, char** argv) {
     root["quick"] = Json{quick};
     root["hardware_concurrency"] = Json{static_cast<std::int64_t>(cores)};
     root["shards"] = Json{static_cast<std::int64_t>(s.shards)};
-    root["workers"] = Json{static_cast<std::int64_t>(s.workers)};
     JsonArray bench_list;
     for (const auto& c : cells) bench_list.push_back(cell_to_json(c));
     root["benchmarks"] = Json{std::move(bench_list)};

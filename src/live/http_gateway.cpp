@@ -106,6 +106,8 @@ HttpGateway::HttpGateway(LivePlatform& platform, GatewayOptions options)
   obs::metrics().counter("fb_live_deadline_expired_total");
   obs::metrics().counter("fb_live_cancelled_total");
   obs::metrics().quantile("fb_batch_size");
+  obs::metrics().quantile("fb_cold_start_ms");
+  obs::metrics().quantile("fb_response_latency_ms");
   obs::metrics().quantile("fb_live_queue_ms_quantiles");
   obs::metrics().quantile("fb_live_exec_ms_quantiles");
   // The flight recorder is the always-on black box: a served platform
@@ -353,7 +355,6 @@ http::Response HttpGateway::handle_stats() const {
   const std::int64_t now_ns = platform_.clock().now().count();
   Json dispatch_body;
   dispatch_body["shards"] = static_cast<std::int64_t>(dispatch.shards);
-  dispatch_body["workers"] = static_cast<std::int64_t>(dispatch.workers);
   Json shard_list{JsonArray{}};
   for (const auto& snap : dispatch.shard_stats) {
     Json entry;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
@@ -37,6 +38,15 @@ obs::Counter& live_warm_hits_total() {
 obs::Counter& live_windows_flushed_total() {
   static obs::Counter& c = obs::metrics().counter("fb_windows_flushed_total");
   return c;
+}
+obs::QuantileHistogram& live_cold_start_ms() {
+  static obs::QuantileHistogram& h = obs::metrics().quantile("fb_cold_start_ms");
+  return h;
+}
+obs::QuantileHistogram& live_response_latency_ms() {
+  static obs::QuantileHistogram& h =
+      obs::metrics().quantile("fb_response_latency_ms");
+  return h;
 }
 obs::QuantileHistogram& live_batch_size() {
   static obs::QuantileHistogram& h = obs::metrics().quantile("fb_batch_size");
@@ -99,28 +109,27 @@ LivePlatform::LivePlatform(LivePlatformOptions options)
   if (options_.container.clock == nullptr) options_.container.clock = clock_;
   watchdog_.set_stall_threshold_ns(
       std::chrono::duration_cast<ClockTime>(options_.stall_threshold).count());
-  Dispatcher::Options dispatch_options;
-  dispatch_options.shards = options_.shards == 0 ? kDefaultShards : options_.shards;
-  dispatch_options.workers = options_.dispatch_workers == 0
-                                 ? kDefaultDispatchWorkers
-                                 : options_.dispatch_workers;
-  dispatch_options.ring_capacity = options_.shard_ring_capacity == 0
-                                       ? kDefaultShardRingCapacity
-                                       : options_.shard_ring_capacity;
-  dispatch_options.max_queue = options_.max_queue;
-  dispatch_options.clock = clock_;
-  dispatch_options.watchdog = &watchdog_;
+  Shard::Options shard_options;
+  shard_options.ring_capacity = options_.shard_ring_capacity == 0
+                                    ? kDefaultShardRingCapacity
+                                    : options_.shard_ring_capacity;
+  shard_options.max_queue = options_.max_queue;
+  shard_options.clock = clock_;
+  shard_options.watchdog = &watchdog_;
   // Vanilla dispatches on arrival: a zero window flushes immediately.
-  dispatch_options.window = options_.policy == LivePolicy::kFaasBatch
-                                ? options_.window
-                                : std::chrono::milliseconds(0);
-  sharded_ = std::make_unique<Dispatcher>(
-      dispatch_options,
-      [this](std::size_t shard, std::vector<RequestPtr> items,
-             ClockTime window_open, ClockTime window_close) {
-        flush_shard(shard, std::move(items), window_open, window_close);
-      },
-      [this](FlushedBatch&& batch) { execute_batch(std::move(batch)); });
+  shard_options.window = options_.policy == LivePolicy::kFaasBatch
+                             ? options_.window
+                             : std::chrono::milliseconds(0);
+  const std::size_t shards = options_.shards == 0 ? kDefaultShards : options_.shards;
+  shards_.reserve(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    shard_options.index = i;
+    shards_.push_back(std::make_unique<Shard>(
+        shard_options, [this](std::size_t shard, std::vector<RequestPtr> items,
+                              ClockTime window_open, ClockTime window_close) {
+          flush_shard(shard, std::move(items), window_open, window_close);
+        }));
+  }
 }
 
 LivePlatform::~LivePlatform() {
@@ -129,10 +138,10 @@ LivePlatform::~LivePlatform() {
   // window timer while invocations sit queued.
   shutdown();
   drain();
-  // Shard flush threads and workers join only after drain(): the workers
-  // are what retire outstanding invocations.
-  sharded_->join();
-  // Containers drain in their destructors.
+  // The shard flush threads exit after their final sweeps; join them
+  // before the containers they place work on are destroyed. Containers
+  // drain in their destructors.
+  for (auto& shard : shards_) shard->join();
 }
 
 void LivePlatform::shutdown() {
@@ -140,7 +149,7 @@ void LivePlatform::shutdown() {
   // Atomically closes admission on every shard and triggers their final
   // drain sweeps; a racing invoke() either landed before the close (and
   // will flush) or resolves kCancelled.
-  sharded_->close();
+  for (auto& shard : shards_) shard->close();
 }
 
 void LivePlatform::register_function(const std::string& name, FunctionHandler handler) {
@@ -232,8 +241,9 @@ InvocationStatus LivePlatform::admit(const RequestPtr& request) {
   if (obs::tracer().enabled()) {
     begin_request_span(us_of(request->submitted), request->id, request->function);
   }
-  const std::size_t shard = sharded_->shard_for(request->function);
-  switch (sharded_->enqueue(shard, request)) {
+  const std::size_t shard =
+      static_cast<std::size_t>(fnv1a(request->function)) % shards_.size();
+  switch (shards_[shard]->try_enqueue(request)) {
     case dispatch::Admit::kOk:
       obs::flight().record(obs::FlightEventKind::kEnqueue,
                            static_cast<std::uint32_t>(shard),
@@ -282,9 +292,9 @@ std::uint64_t LivePlatform::containers_created() const {
 
 DispatchStats LivePlatform::dispatch_stats() const {
   DispatchStats stats;
-  stats.shards = sharded_->shards();
-  stats.workers = sharded_->workers();
-  stats.shard_stats = sharded_->snapshots();
+  stats.shards = shards_.size();
+  stats.shard_stats.reserve(shards_.size());
+  for (const auto& shard : shards_) stats.shard_stats.push_back(shard->snapshot());
   return stats;
 }
 
@@ -322,6 +332,7 @@ LiveContainer& LivePlatform::create_container(const std::string& function) {
       std::make_unique<LiveContainer>(function, options_.container));
   ++containers_created_;
   live_cold_starts_total().inc();
+  live_cold_start_ms().record(all_containers_.back()->cold_start_ms());
   if (obs::tracer().enabled()) {
     obs::tracer().instant("container", "container_create", us_of(clock_->now()),
                           obs::kContainerTrackBase + containers_created_,
@@ -385,6 +396,7 @@ void LivePlatform::run_request(LiveContainer& container, RequestPtr request) {
     report.total_ms = ms_between(request->submitted, exec_end);
     live_queue_quantiles().record(report.queue_ms);
     live_exec_quantiles().record(report.exec_ms);
+    live_response_latency_ms().record(report.total_ms);
     request->registered.queue_ms->record(report.queue_ms);
     request->registered.exec_ms->record(report.exec_ms);
     if (obs::tracer().enabled()) {
@@ -421,8 +433,8 @@ void LivePlatform::run_request(LiveContainer& container, RequestPtr request) {
 
 void LivePlatform::flush_shard(std::size_t shard, std::vector<RequestPtr> items,
                                ClockTime window_open, ClockTime window_close) {
-  // Runs on the shard's flush thread; no platform lock needed — the
-  // items are exclusively ours and grouping is pure computation.
+  // Runs on the shard's flush thread. Grouping takes no platform lock:
+  // the items are exclusively ours.
   std::vector<RequestPtr> expired;
   std::map<std::string, std::vector<RequestPtr>> groups;
   for (auto& request : items) {
@@ -445,39 +457,24 @@ void LivePlatform::flush_shard(std::size_t shard, std::vector<RequestPtr> items,
          {"groups", Json(static_cast<std::int64_t>(groups.size()))},
          {"shard", Json(static_cast<std::int64_t>(shard))}});
   }
-  if (!groups.empty()) {
-    FlushedBatch batch;
-    batch.shard = shard;
-    batch.groups.reserve(groups.size());
-    for (auto& [function, requests] : groups) {
-      if (options_.policy == LivePolicy::kFaasBatch) {
-        live_batch_size().record(static_cast<double>(requests.size()));
-      }
-      batch.groups.emplace_back(function, std::move(requests));
-    }
-    // One pool wakeup per flushed window, not per invocation.
-    sharded_->submit(std::move(batch));
-  }
-  for (const auto& request : expired) {
-    settle_unexecuted(request, InvocationStatus::kDeadlineExpired);
-  }
-}
-
-void LivePlatform::execute_batch(FlushedBatch&& batch) {
-  // Runs on a dispatch worker thread.
-  for (auto& [function, requests] : batch.groups) {
+  // Place each group on a container here, on the flush thread: the
+  // paper's Invoke Mapper hands a window's group straight to one
+  // container. Only the pick (and a cold start) holds the platform lock;
+  // submit() enqueues without blocking on execution.
+  for (auto& [function, requests] : groups) {
     if (options_.policy == LivePolicy::kVanilla) {
       // A fresh (or idle warm) container per invocation.
       for (auto& request : requests) {
         LiveContainer* container = nullptr;
         {
           MutexLock lock(mutex_);
-          container = &container_for(request->function);
+          container = &container_for(function);
         }
         run_request(*container, std::move(request));
       }
       continue;
     }
+    live_batch_size().record(static_cast<double>(requests.size()));
     LiveContainer* chosen = nullptr;
     {
       MutexLock lock(mutex_);
@@ -486,6 +483,9 @@ void LivePlatform::execute_batch(FlushedBatch&& batch) {
     for (auto& request : requests) {
       run_request(*chosen, std::move(request));
     }
+  }
+  for (const auto& request : expired) {
+    settle_unexecuted(request, InvocationStatus::kDeadlineExpired);
   }
 }
 

@@ -8,9 +8,10 @@
 // motivation benchmarks.
 //
 // Dispatch pipeline: arrivals hash by function name onto N shard-local
-// lock-free MPSC rings; each shard runs its own window flush loop and
-// hands batches to a pull-based worker pool with one wakeup per flushed
-// batch. invoke() never takes the platform mutex on the happy path.
+// lock-free MPSC rings; each shard runs its own window flush loop, which
+// groups the window by function and places each group on a container
+// itself, so a request crosses one thread hop from its shard to its
+// container. invoke() never takes the platform mutex on the happy path.
 #pragma once
 
 #include <atomic>
@@ -27,7 +28,7 @@
 #include "common/clock.hpp"
 #include "common/ordered_mutex.hpp"
 #include "core/resource_multiplexer.hpp"
-#include "live/dispatch/sharded_dispatcher.hpp"
+#include "live/dispatch/shard.hpp"
 #include "live/live_container.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/watchdog.hpp"
@@ -80,7 +81,6 @@ enum class LivePolicy {
 
 /// Defaults for the dispatch pipeline (option value 0 selects them).
 inline constexpr std::size_t kDefaultShards = 4;
-inline constexpr std::size_t kDefaultDispatchWorkers = 2;
 inline constexpr std::size_t kDefaultShardRingCapacity = 8192;
 
 struct LivePlatformOptions {
@@ -103,8 +103,6 @@ struct LivePlatformOptions {
 
   /// Shard count; 0 = kDefaultShards.
   std::size_t shards = 0;
-  /// Worker threads draining flushed batches; 0 = kDefaultDispatchWorkers.
-  std::size_t dispatch_workers = 0;
   /// MPSC ring slots per shard when max_queue is 0 (unbounded platforms
   /// spill past the ring into a mutex-guarded side queue, never shed);
   /// 0 = kDefaultShardRingCapacity.
@@ -120,7 +118,6 @@ struct LivePlatformOptions {
 /// Point-in-time dispatch pipeline stats (gateway /stats, tests).
 struct DispatchStats {
   std::size_t shards = 0;
-  std::size_t workers = 0;
   /// Per-shard counters, one entry per shard.
   std::vector<dispatch::ShardSnapshot> shard_stats;
 };
@@ -172,8 +169,8 @@ class LivePlatform {
   DispatchStats dispatch_stats() const;
 
   /// Stall watchdog over the dispatch pipeline: one source per shard
-  /// flush loop plus one for the worker pool. Scan it with now() from
-  /// clock() — the gateway's /healthz does exactly that.
+  /// flush loop. Scan it with now() from clock() — the gateway's
+  /// /healthz does exactly that.
   obs::Watchdog& watchdog() { return watchdog_; }
   const obs::Watchdog& watchdog() const { return watchdog_; }
 
@@ -209,12 +206,7 @@ class LivePlatform {
   using RequestPtr = std::shared_ptr<Request>;
   using FunctionMap = std::map<std::string, RegisteredFunction>;
 
-  /// One window flush from one shard: requests grouped by function.
-  struct FlushedBatch {
-    std::size_t shard = 0;
-    std::vector<std::pair<std::string, std::vector<RequestPtr>>> groups;
-  };
-  using Dispatcher = dispatch::ShardedDispatcher<RequestPtr, FlushedBatch>;
+  using Shard = dispatch::Shard<RequestPtr>;
 
   // -- admission -----------------------------------------------------
   InvocationStatus admit(const RequestPtr& request);
@@ -222,12 +214,12 @@ class LivePlatform {
   void unadmit(const RequestPtr& request);
 
   // -- dispatch ------------------------------------------------------
-  /// Shard flush callback: expire deadlines, group by function, hand one
-  /// batch to the worker pool. Runs on the shard's flush thread.
+  /// Shard flush callback: expire deadlines, group by function and place
+  /// each group on a container. Runs on the shard's flush thread, so a
+  /// cold start here delays that shard's next window.
   void flush_shard(std::size_t shard, std::vector<RequestPtr> items,
-                   ClockTime window_open, ClockTime window_close);
-  /// Worker-pool callback: route each group to a container.
-  void execute_batch(FlushedBatch&& batch) FB_EXCLUDES(mutex_);
+                   ClockTime window_open, ClockTime window_close)
+      FB_EXCLUDES(mutex_);
 
   // -- execution -----------------------------------------------------
   void run_request(LiveContainer& container, RequestPtr request);
@@ -280,11 +272,12 @@ class LivePlatform {
   /// kShedBurstIncident triggers one flight-recorder incident per burst.
   /// fb-atomic-counter
   std::atomic<std::uint32_t> shed_streak_{0};
-  /// Declared before the pipeline: the shards and the worker pool
-  /// unregister their sources on teardown and must do so into a
-  /// still-alive watchdog.
+  /// Declared before the shards: they unregister their sources on
+  /// teardown and must do so into a still-alive watchdog.
   obs::Watchdog watchdog_;
-  std::unique_ptr<Dispatcher> sharded_;
+  /// The dispatch pipeline; a function's requests all go to shard
+  /// fnv1a(function) % shards_.size().
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace faasbatch::live

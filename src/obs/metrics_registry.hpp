@@ -12,9 +12,9 @@
 // value, so instrumentation left in hot paths is a load+branch when the
 // registry is disabled (the default). Recording itself is a relaxed
 // atomic update — safe from any thread, including the live runtime's
-// worker pools. Nothing here affects control flow, which is what keeps
-// the deterministic differential harness bit-identical with metrics on
-// or off.
+// container threads. Nothing here affects control flow, which is what
+// keeps the deterministic differential harness bit-identical with
+// metrics on or off.
 //
 // Instrument names follow Prometheus conventions (fb_*_total for
 // counters) and may carry a literal label set: "fb_x_total{k=\"v\"}".

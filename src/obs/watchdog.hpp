@@ -1,26 +1,27 @@
-// Watchdog: detects wedged shards, workers, and accept loops.
+// Watchdog: detects wedged shards and accept loops.
 //
 // Every progress loop in the live pipeline (a dispatch shard's flush
-// loop, a worker-pool thread, the gateway's accept loop) registers a
-// HeartbeatSource and beats it once per unit of real progress — a window
-// flush, a batch executed, a connection accepted. The watchdog itself
-// owns no thread and reads no clock: scan(now) is pull-based, driven by
-// whoever asks for health (the gateway's /healthz handler, a test), with
-// `now` coming from the caller's injectable Clock. That makes the
-// detector fully deterministic under VirtualClock — a test wedges a
-// shard, advances virtual time past the threshold, and scan() flags
-// exactly that shard, with no sleeps and no background scanner racing
-// the assertion.
+// loop, the gateway's accept loop) registers a HeartbeatSource and beats
+// it once per unit of real progress — a window flush, a connection
+// accepted. The watchdog itself owns no thread and reads no clock:
+// scan(now) is pull-based, driven by whoever asks for health (the
+// gateway's /healthz handler, a test), with `now` coming from the
+// caller's injectable Clock. That makes the detector fully deterministic
+// under VirtualClock — a test wedges a shard, advances virtual time past
+// the threshold, and scan() flags exactly that shard, with no sleeps and
+// no background scanner racing the assertion.
 //
 // Heartbeat contract: beat on *completed work*, not on wakeups. A flush
 // loop that wakes, times out, and goes back to sleep has not proven it
-// can drain its queue; only flush_once beats. A source is stalled when
-// its queue depth is nonzero and its heartbeat has not advanced for
-// longer than the stall threshold — an idle loop (depth 0) is healthy no
-// matter how long it sleeps, so the watchdog never false-positives on a
-// quiet system. The threshold must exceed the dispatch window (a shard
-// legitimately sits a full window between flushes); the default 5 s is
-// comfortably above any configured window, and tests tighten it.
+// can drain its queue; only a completed drain round beats (a shard's
+// collect_window), so a flush callback that wedges stops the beats while
+// the queue behind it grows. A source is stalled when its queue depth is
+// nonzero and its heartbeat has not advanced for longer than the stall
+// threshold — an idle loop (depth 0) is healthy no matter how long it
+// sleeps, so the watchdog never false-positives on a quiet system. The
+// threshold must exceed the dispatch window (a shard legitimately sits a
+// full window between flushes); the default 5 s is comfortably above any
+// configured window, and tests tighten it.
 //
 // Cost model: beat() is two relaxed atomic stores, unconditional —
 // cheap enough to stay on even when metrics are off, because health must

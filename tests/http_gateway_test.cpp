@@ -58,8 +58,8 @@ TEST_F(GatewayFixture, HealthCheck) {
   EXPECT_EQ(body.at("status").as_string(), "ok");
   EXPECT_TRUE(body.at("healthy").as_bool());
   EXPECT_TRUE(body.at("stalled").as_array().empty());
-  // Every dispatch loop reports: the shards, the worker pool, and the
-  // gateway's own accept loop.
+  // Every dispatch loop reports: the shards and the gateway's own accept
+  // loop.
   bool saw_gateway = false;
   for (const Json& source : body.at("sources").as_array()) {
     if (source.at("name").as_string() == "gateway") saw_gateway = true;

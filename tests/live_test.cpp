@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <latch>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +40,24 @@ bool advance_until(VirtualClock& clock, std::chrono::milliseconds step, Pred pre
     std::this_thread::sleep_for(std::chrono::milliseconds(1));  // fb-lint-allow(raw-clock)
   }
   return pred();
+}
+
+/// Ids of this process's threads right now: the entries of /proc/self/task.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+/// Threads running now that were not in `before`.
+std::size_t threads_started_since(const std::set<std::string>& before) {
+  std::size_t started = 0;
+  for (const std::string& id : thread_ids()) {
+    if (before.count(id) == 0) ++started;
+  }
+  return started;
 }
 
 LiveContainerOptions fast_container() {
@@ -382,13 +402,11 @@ TEST(LivePlatformTest, SeparateFunctionsSeparateContainers) {
 TEST(ShardedDispatchTest, StatsExposePipelineShape) {
   LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
   options.shards = 3;
-  options.dispatch_workers = 2;
   LivePlatform platform(options);
   platform.register_function("fib", make_fib_handler(10));
 
   DispatchStats stats = platform.dispatch_stats();
   EXPECT_EQ(stats.shards, 3u);
-  EXPECT_EQ(stats.workers, 2u);
   ASSERT_EQ(stats.shard_stats.size(), 3u);
 
   std::vector<std::future<InvocationReport>> futures;
@@ -403,6 +421,76 @@ TEST(ShardedDispatchTest, StatsExposePipelineShape) {
   }
   EXPECT_EQ(enqueued, 12u);
   EXPECT_GE(windows, 1u);
+}
+
+TEST(ShardedDispatchTest, PipelineStartsOneThreadPerShard) {
+  // Each shard's flush loop places its windows on containers itself, so
+  // the pipeline's only threads are one per shard. Containers start
+  // theirs on first use: before any invoke() the platform has added
+  // exactly `shards` threads, and destruction joins every one of them.
+  // One thread is started and joined first, so a helper thread that a
+  // runtime starts on the first thread creation (ThreadSanitizer's) is
+  // already running and not counted.
+  std::thread([] {}).join();
+  const std::set<std::string> before = thread_ids();
+  {
+    LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
+    options.shards = 3;
+    LivePlatform platform(options);
+    EXPECT_EQ(threads_started_since(before), 3u);
+  }
+  // A joined thread leaves /proc/self/task a moment after join()
+  // returns; the 1 ms pause is liveness pacing, not a timing assumption.
+  bool gone = false;
+  for (int i = 0; i < 5000 && !gone; ++i) {
+    gone = threads_started_since(before) == 0;
+    if (!gone) std::this_thread::sleep_for(std::chrono::milliseconds(1));  // fb-lint-allow(raw-clock)
+  }
+  EXPECT_TRUE(gone) << threads_started_since(before) << " threads outlived the platform";
+}
+
+TEST(ShardedDispatchTest, RingOverflowSpillsAndStillFlushesEveryRequest) {
+  // An unbounded shard whose 2-slot ring fills spills the rest into its
+  // mutex-guarded overflow deque instead of shedding. The clock is pinned,
+  // so the flush loop sits in its window wait and consumes nothing: the
+  // first two requests take the ring slots and the other eight overflow.
+  VirtualClock clock;
+  LivePlatformOptions options = fast_platform(LivePolicy::kFaasBatch);
+  options.clock = &clock;
+  options.max_queue = 0;
+  options.shard_ring_capacity = 2;
+  LivePlatform platform(options);
+  std::atomic<int> ran{0};
+  platform.register_function("f", [&ran](FunctionContext&) { ++ran; });
+
+  constexpr int kRequests = 10;
+  std::vector<std::future<InvocationReport>> futures;
+  for (int i = 0; i < kRequests; ++i) futures.push_back(platform.invoke("f"));
+
+  int shards_used = 0;
+  for (const auto& snap : platform.dispatch_stats().shard_stats) {
+    if (snap.enqueued == 0) continue;
+    ++shards_used;
+    EXPECT_EQ(snap.enqueued, 10u);
+    EXPECT_EQ(snap.overflow, 8u);
+    EXPECT_EQ(snap.depth, 10u);
+    EXPECT_EQ(snap.shed, 0u);
+  }
+  EXPECT_EQ(shards_used, 1);
+
+  // Once the window closes, the ring and the overflow deque flush as one
+  // window and every request runs.
+  ASSERT_TRUE(advance_until(clock, options.window, [&] {
+    for (auto& future : futures) {
+      if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+        return false;
+      }
+    }
+    return true;
+  }));
+  for (auto& future : futures) EXPECT_EQ(future.get().status, InvocationStatus::kOk);
+  platform.drain();
+  EXPECT_EQ(ran.load(), kRequests);
 }
 
 TEST(ShardedDispatchTest, SameFunctionAlwaysLandsOnOneShard) {

@@ -359,6 +359,54 @@ TEST(ObsSimulationTest, MetricsCoverColdStartsAndBatchSizes) {
   EXPECT_NE(text.find("# TYPE fb_cold_start_ms summary"), std::string::npos);
 }
 
+// --- Live platform: cold-start and response-latency summaries ---
+
+TEST(ObsLiveTest, ColdStartAndResponseLatencyRecordedOncePerEvent) {
+  // The live platform records the simulator's two distributions under
+  // the same names: one fb_cold_start_ms sample per container created
+  // and one fb_response_latency_ms sample per completed invocation.
+  GlobalObsGuard guard;
+  obs::metrics().reset();
+  obs::metrics().set_enabled(true);
+  constexpr std::uint64_t kInvocations = 12;
+  std::uint64_t containers = 0;
+  {
+    live::LivePlatformOptions options;
+    options.policy = live::LivePolicy::kVanilla;  // immediate dispatch
+    options.container.threads = 1;
+    options.container.cold_start_work_ms = 0.5;
+    live::LivePlatform platform(options);
+    platform.register_function("f", [](live::FunctionContext&) {});
+    std::vector<std::future<live::InvocationReport>> futures;
+    for (std::uint64_t i = 0; i < kInvocations; ++i) {
+      futures.push_back(platform.invoke("f"));
+    }
+    for (auto& future : futures) EXPECT_TRUE(future.get().ok());
+    platform.drain();
+    containers = platform.containers_created();
+  }
+  obs::metrics().set_enabled(false);
+  EXPECT_GT(containers, 0u);
+  EXPECT_EQ(obs::metrics().quantile("fb_cold_start_ms").count(), containers);
+  EXPECT_EQ(obs::metrics().quantile("fb_response_latency_ms").count(), kInvocations);
+  const std::string text = obs::metrics().prometheus_text();
+  EXPECT_NE(text.find("# TYPE fb_cold_start_ms summary"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE fb_response_latency_ms summary"), std::string::npos);
+  // Built by appending: GCC 12 reports a false -Wrestrict on an inlined
+  // "literal" + std::to_string(n) in Release builds.
+  const auto count_line = [](const std::string& name, std::uint64_t count) {
+    std::string line = "\n";
+    line += name;
+    line += "_count ";
+    line += std::to_string(count);
+    line += "\n";
+    return line;
+  };
+  EXPECT_NE(text.find(count_line("fb_cold_start_ms", containers)), std::string::npos);
+  EXPECT_NE(text.find(count_line("fb_response_latency_ms", kInvocations)),
+            std::string::npos);
+}
+
 // --- Live platform: spans carry the injected clock's time ---
 
 TEST(ObsLiveTest, SpansUseVirtualClockTimestamps) {
