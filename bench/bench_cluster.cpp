@@ -221,9 +221,6 @@ int main(int argc, char** argv) {
       spec.worker_spec.scheduler = schedulers::SchedulerKind::kFaasBatch;
       spec.pull.worker_capacity = capacity;
       spec.pull.pull_batch = 16;
-      spec.pull.steal.min_victim_backlog = 4;
-      spec.pull.steal.steal_fraction = 0.5;
-      spec.pull.steal.max_steal = 16;
       const std::string label = capacity == 0 ? "unbounded" : "bounded";
       const std::string name =
           "cluster/" + label + "_skew/w" + std::to_string(workers);

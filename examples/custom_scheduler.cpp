@@ -60,7 +60,8 @@ class StickyScheduler : public schedulers::Scheduler {
     schedulers::execute_invocation(
         ctx(), container, id, schedulers::ExecEnv{},
         [this, id](bool ok) {
-          // No chaos engine is wired here, so attempts always succeed.
+          // The default chaos engine injects no faults, so attempts
+          // always succeed.
           if (ok) ctx().notify_complete(id);
         });
     // Note: the home container is never released; it stays active for
@@ -75,8 +76,9 @@ eval::ExperimentResult run_sticky(const trace::Workload& workload) {
   // The harness pieces are reusable outside eval::run_experiment too.
   sim::Simulator simulator;
   runtime::RuntimeConfig config;
+  resilience::ChaosEngine chaos;  // default plan: no faults, admits all
   runtime::Machine machine(simulator, config);
-  runtime::ContainerPool pool(machine);
+  runtime::ContainerPool pool(machine, chaos.injector());
   std::vector<core::InvocationRecord> records(workload.events.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].id = static_cast<InvocationId>(i);
@@ -87,7 +89,7 @@ eval::ExperimentResult run_sticky(const trace::Workload& workload) {
   SimTime makespan = 0;
   schedulers::SchedulerContext context{
       simulator, machine, pool, workload, storage::ClientCostModel{}, records,
-      nullptr};
+      nullptr, chaos};
   context.notify_complete = [&](InvocationId) {
     if (++completed == records.size()) {
       makespan = simulator.now();

@@ -59,7 +59,7 @@ eval::ExperimentSpec make_spec(const Config& config) {
   spec.scheduler_options.faasbatch_batch_return =
       config.get_bool("batch_return", false);
   spec.scheduler_options.kraken_ewma_alpha = config.get_double("ewma_alpha", 0.0);
-  spec.runtime.cold_start_failure_rate =
+  spec.fault_plan.cold_start_failure_rate =
       config.get_double("cold_start_failure_rate", 0.0);
   if (config.get_string("keepalive", "fixed") == "histogram") {
     spec.keepalive = eval::KeepAliveKind::kHistogram;
@@ -88,6 +88,7 @@ void print_result(const eval::ExperimentResult& result) {
             << " mem_avg_MiB=" << metrics::Table::num(result.memory_avg_mib, 1)
             << " cpu_util=" << metrics::Table::num(result.cpu_utilization, 3)
             << " makespan_s=" << metrics::Table::num(to_seconds(result.makespan), 1)
+            << " cold_start_failures=" << result.fault_stats.cold_start_failures
             << "\n";
 }
 

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "cluster/failure_detector.hpp"
-#include "cluster/steal_policy.hpp"
 #include "cluster/worker_state.hpp"
 #include "eval/experiment.hpp"
 
@@ -66,7 +65,6 @@ struct PullOptions {
   /// whole key run up to this even beyond free capacity — full batches
   /// are the paper's lever — and the excess becomes stealable backlog.
   std::size_t pull_batch = 64;
-  StealPolicyOptions steal;
 };
 
 /// An operator intervention scheduled at a virtual time.
@@ -83,7 +81,7 @@ struct OperatorAction {
 };
 
 struct ClusterSpec {
-  /// Worker count; each is a full Machine+ContainerPool+Scheduler.
+  /// Worker count; each incarnation is one eval::Worker.
   std::size_t workers = 4;
   BalancerKind balancer = BalancerKind::kFunctionAffinity;
   /// The default unbounded capacity binds arrivals immediately

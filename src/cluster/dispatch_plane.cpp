@@ -92,53 +92,19 @@ DispatchPlane::DispatchPlane(sim::Simulator& sim, const ClusterSpec& spec,
   slots_.resize(spec_.workers);
   for (std::size_t w = 0; w < spec_.workers; ++w) {
     slots_[w].state_gauge = &worker_state_gauge(w);
-    slots_[w].instance = make_instance(w);
+    slots_[w].instance = std::make_unique<Instance>(*this, w);
   }
 }
 
 DispatchPlane::~DispatchPlane() = default;
 
-std::unique_ptr<DispatchPlane::Instance> DispatchPlane::make_instance(
-    std::size_t worker) {
-  auto instance = std::make_unique<Instance>();
-  instance->machine = std::make_unique<runtime::Machine>(
-      sim_, spec_.worker_spec.runtime);
-  instance->pool = std::make_unique<runtime::ContainerPool>(*instance->machine);
-  if (spec_.worker_spec.keepalive == eval::KeepAliveKind::kHistogram) {
-    instance->pool->set_keepalive_policy(
-        std::make_unique<runtime::HistogramKeepAlive>(
-            spec_.worker_spec.keepalive_histogram));
-  }
-  if (spec_.worker_spec.fault_plan.any()) {
-    instance->pool->set_fault_injector(&chaos_.injector());
-  }
-  // Private records: zombie incarnations keep stamping theirs after
-  // death without ever touching the plane's canonical vector.
-  instance->records.resize(total_);
-  for (std::size_t i = 0; i < total_; ++i) {
-    instance->records[i].id = static_cast<InvocationId>(i);
-    instance->records[i].function = workload_.events[i].function;
-    instance->records[i].arrival = workload_.events[i].arrival;
-  }
-  schedulers::SchedulerContext context{
-      sim_,
-      *instance->machine,
-      *instance->pool,
-      workload_,
-      spec_.worker_spec.client_model,
-      instance->records,
-      /*notify_complete=*/nullptr,
-      &chaos_,
-  };
-  context.notify_complete = [this, worker, self = instance.get()](
-                                InvocationId id) {
-    on_worker_notify(worker, self, id);
-  };
-  instance->scheduler =
-      schedulers::make_scheduler(spec_.worker_spec.scheduler, context,
-                                 spec_.worker_spec.scheduler_options);
-  return instance;
-}
+DispatchPlane::Instance::Instance(DispatchPlane& plane, std::size_t index)
+    : worker(plane.sim_, plane.spec_.worker_spec, plane.workload_, plane.chaos_,
+             // Bound to this incarnation, so a zombie's late completions
+             // are told apart from its live successor's.
+             [&plane, index, this](InvocationId id) {
+               plane.on_worker_notify(index, this, id);
+             }) {}
 
 void DispatchPlane::start() {
   for (std::size_t w = 0; w < spec_.workers; ++w) {
@@ -212,9 +178,7 @@ void DispatchPlane::dispatch_to(std::size_t worker, InvocationId id) {
   ++slot.result.routed;
   detector_.note_dispatch(worker, sim_.now(), slot.outstanding);
   ++slot.outstanding;
-  const FunctionId function = records_[id].function;
-  slot.instance->pool->note_arrival(function);
-  slot.instance->scheduler->on_arrival(id);
+  slot.instance->worker.arrive(id);
 }
 
 void DispatchPlane::enqueue(InvocationId id) {
@@ -284,7 +248,7 @@ std::size_t DispatchPlane::pick_puller(
   // across runs); cold keys fall back to the configured balancer.
   std::vector<std::size_t> warm;
   for (const std::size_t w : candidates) {
-    if (slots_[w].instance->pool->has_idle(function)) warm.push_back(w);
+    if (slots_[w].instance->worker.pool().has_idle(function)) warm.push_back(w);
   }
   if (!warm.empty()) return rendezvous_pick(function, warm);
   return pick_route(function, candidates);
@@ -332,19 +296,18 @@ bool DispatchPlane::try_steal() {
     depths[w] = slots_[w].backlog.size();
     deepest = std::max(deepest, depths[w]);
   }
-  if (deepest < spec_.pull.steal.min_victim_backlog) return false;
+  if (deepest < kMinVictimBacklog) return false;
   const std::vector<std::size_t> thieves = pull_candidates();
   const std::vector<std::size_t> affine_set = route_candidates();
   for (const std::size_t thief : thieves) {
     // A thief with its own backlog is not idle — capacity, not work, is
     // what it lacks; stealing more would just relocate the imbalance.
     if (!slots_[thief].backlog.empty()) continue;
-    const auto victim = pick_victim(depths, thief, spec_.pull.steal);
+    const auto victim = pick_victim(depths, thief);
     if (!victim.has_value()) continue;
     Slot& victim_slot = slots_[*victim];
-    const std::size_t budget =
-        steal_budget(victim_slot.backlog.size(), spec_.pull.steal);
-    runtime::ContainerPool& thief_pool = *slots_[thief].instance->pool;
+    const std::size_t budget = steal_budget(victim_slot.backlog.size());
+    runtime::ContainerPool& thief_pool = slots_[thief].instance->worker.pool();
     const std::vector<std::size_t> indices = select_steal_indices(
         victim_slot.backlog, budget,
         [&thief_pool](FunctionId f) { return thief_pool.has_idle(f); },
@@ -408,7 +371,7 @@ void DispatchPlane::on_worker_notify(std::size_t worker, Instance* self,
       slots_[worker].instance.get() != self) {
     return;
   }
-  const core::InvocationRecord& local = self->records[id];
+  const core::InvocationRecord& local = self->worker.records()[id];
   if (local.outcome == core::Outcome::kShed) {
     // Admission rejection is front-door and synchronous with routing:
     // the caller saw it immediately, so it stands even if the worker has
@@ -507,7 +470,7 @@ void DispatchPlane::recover_stalls(SimTime now) {
           assignment.worker != static_cast<std::uint32_t>(w)) {
         continue;
       }
-      merge_completion(w, instance->records[id], id);
+      merge_completion(w, instance->worker.records()[id], id);
     }
     detector_.beat(w, now);
   }
@@ -581,9 +544,9 @@ void DispatchPlane::declare_dead(std::size_t worker, SimTime now) {
   instance->crashed = true;  // stalled/healthy instances die the same way
   // The dead VM never dismantles itself gracefully: its containers may
   // hold in-flight CPU tasks forever (zombie execution, results dropped).
-  instance->machine->condemn();
+  instance->worker.machine().condemn();
   slot.result.containers_provisioned +=
-      instance->pool->stats().total_provisioned;
+      instance->worker.pool().stats().total_provisioned;
   slot.zombies.push_back(std::move(slot.instance));
 
   // Backlog work was bound here but never injected — it rode no attempt
@@ -618,7 +581,7 @@ void DispatchPlane::declare_dead(std::size_t worker, SimTime now) {
     // The death consumed (at least) one attempt, even for invocations
     // still queued inside the worker — they rode the VM down with it.
     global.attempts +=
-        std::max<std::uint32_t>(instance->records[id].attempts, 1);
+        std::max<std::uint32_t>(instance->worker.records()[id].attempts, 1);
     ++global.faults;
     assignments_[id].worker = kUnassignedWorker;
     --slot.outstanding;
@@ -663,7 +626,8 @@ void DispatchPlane::restart_worker(std::size_t worker, std::uint64_t epoch) {
   // An operator rejoin (or a rejoin-then-redeath) supersedes this
   // restart; the epoch pins it to the death that scheduled it.
   if (slot.state != WorkerState::kDead || slot.death_epoch != epoch) return;
-  slot.instance = make_instance(worker);  // cold: empty pool, no clients
+  // Cold: empty pool, no clients.
+  slot.instance = std::make_unique<Instance>(*this, worker);
   ++slot.result.restarts;
   detector_.reset(worker, sim_.now());
   set_state(worker, WorkerState::kUp);
@@ -695,10 +659,10 @@ void DispatchPlane::apply_action(const OperatorAction& action) {
       // flight; retire it as a zombie rather than destroying it mid-run.
       if (slot.instance != nullptr) {
         slot.result.containers_provisioned +=
-            slot.instance->pool->stats().total_provisioned;
+            slot.instance->worker.pool().stats().total_provisioned;
         slot.zombies.push_back(std::move(slot.instance));
       }
-      slot.instance = make_instance(action.worker);
+      slot.instance = std::make_unique<Instance>(*this, action.worker);
       detector_.reset(action.worker, sim_.now());
       set_state(action.worker, WorkerState::kUp);
       pump();
@@ -751,12 +715,12 @@ ClusterResult DispatchPlane::finish() {
     WorkerResult worker = slot.result;
     worker.final_state = slot.state;
     if (slot.instance != nullptr) {
+      runtime::Machine& machine = slot.instance->worker.machine();
       worker.containers_provisioned +=
-          slot.instance->pool->stats().total_provisioned;
+          slot.instance->worker.pool().stats().total_provisioned;
       worker.memory_avg_mib = to_mib(static_cast<Bytes>(
-          slot.instance->machine->memory_gauge().time_average(makespan_)));
-      worker.cpu_utilization =
-          slot.instance->machine->cpu_utilization(makespan_);
+          machine.memory_gauge().time_average(makespan_)));
+      worker.cpu_utilization = machine.cpu_utilization(makespan_);
     }
     result.completed += worker.outcomes.completed;
     result.failed += worker.outcomes.failed;

@@ -1,8 +1,8 @@
 // DispatchPlane: the fault-tolerant heart of the cluster module.
 //
-// The plane owns N worker instances (machine + pool + scheduler, all on
-// the shared virtual clock), routes arrivals to routable workers, and
-// heals worker-tier faults:
+// The plane owns N worker instances (each an eval::Worker: machine, pool
+// and scheduler, all on the shared virtual clock), routes arrivals to
+// routable workers, and heals worker-tier faults:
 //
 //  * Crash: the injector silently kills a worker at a detector scan. The
 //    simulator cannot preempt the worker's already-scheduled events, so
@@ -59,6 +59,7 @@
 #include "cluster/cluster.hpp"
 #include "cluster/pending_queue.hpp"
 #include "cluster/steal_policy.hpp"
+#include "eval/worker.hpp"
 
 namespace faasbatch::obs {
 class Gauge;
@@ -105,14 +106,14 @@ class DispatchPlane {
   static constexpr std::uint64_t kMaxScans = 1'000'000;
 
   /// One incarnation of a worker. Crash/death does not free it — its
-  /// scheduled events keep firing (zombie) against its private records.
+  /// scheduled events keep firing (zombie) against its worker's private
+  /// records, never the plane's canonical ones.
   struct Instance {
-    std::unique_ptr<runtime::Machine> machine;
-    std::unique_ptr<runtime::ContainerPool> pool;
-    std::unique_ptr<schedulers::Scheduler> scheduler;
-    /// Private full-size records; zombie stamps land here, never in the
-    /// plane's canonical records.
-    std::vector<core::InvocationRecord> records;
+    /// Builds worker `index`'s next incarnation; its completions reach
+    /// on_worker_notify tagged with this instance's own address.
+    Instance(DispatchPlane& plane, std::size_t index);
+
+    eval::Worker worker;
     bool crashed = false;
     /// Wedged until this time (0 = not stalled); completions buffer in
     /// stalled_completions and merge at recovery.
@@ -131,7 +132,7 @@ class DispatchPlane {
     /// Invocations bound to this worker but not yet injected
     /// (a pull's excess over free capacity). Stealable; reclaimed to the
     /// pending queue on death or drain. Bounded by max(pull_batch,
-    /// steal.max_steal), so scans over it stay O(1)-ish.
+    /// kMaxSteal), so scans over it stay O(1)-ish.
     std::deque<PendingItem> backlog;
     /// Incremented per death; restart events carry the epoch they were
     /// scheduled for so a rejoin-then-redeath never double-restarts.
@@ -145,7 +146,6 @@ class DispatchPlane {
     bool terminal = false;
   };
 
-  std::unique_ptr<Instance> make_instance(std::size_t worker);
   void set_state(std::size_t worker, WorkerState state);
 
   /// Routing. Candidates are kUp workers, falling back to kSuspect;

@@ -1,19 +1,17 @@
 #include "cluster/steal_policy.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace faasbatch::cluster {
 
 std::optional<std::size_t> pick_victim(
-    const std::vector<std::size_t>& backlog_depths, std::size_t thief,
-    const StealPolicyOptions& options) {
+    const std::vector<std::size_t>& backlog_depths, std::size_t thief) {
   std::optional<std::size_t> victim;
   std::size_t deepest = 0;
   for (std::size_t w = 0; w < backlog_depths.size(); ++w) {
     if (w == thief) continue;
     const std::size_t depth = backlog_depths[w];
-    if (depth < options.min_victim_backlog) continue;
+    if (depth < kMinVictimBacklog) continue;
     if (!victim.has_value() || depth > deepest) {
       victim = w;
       deepest = depth;
@@ -22,14 +20,8 @@ std::optional<std::size_t> pick_victim(
   return victim;
 }
 
-std::size_t steal_budget(std::size_t victim_backlog,
-                         const StealPolicyOptions& options) {
-  if (victim_backlog == 0) return 0;
-  const double fraction =
-      std::clamp(options.steal_fraction, 0.0, 1.0);
-  const auto share = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(victim_backlog) * fraction));
-  return std::min({share, options.max_steal, victim_backlog});
+std::size_t steal_budget(std::size_t victim_backlog) {
+  return std::min((victim_backlog + 1) / 2, kMaxSteal);
 }
 
 std::vector<std::size_t> select_steal_indices(

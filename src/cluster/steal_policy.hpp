@@ -6,13 +6,13 @@
 // loaded backlog instead of sitting idle. Three pure decisions live
 // here, separated from the plane so they can be property-tested:
 //
-//  * pick_victim    — deepest backlog at or above min_victim_backlog,
+//  * pick_victim    — deepest backlog at or above kMinVictimBacklog,
 //                     never the thief itself; ties break to the lower
 //                     worker index (deterministic).
-//  * steal_budget   — how much one steal may take: steal_fraction of the
-//                     victim's backlog (rounded up), capped at max_steal.
-//                     Fractional stealing halves the imbalance per steal
-//                     without ping-ponging the whole backlog.
+//  * steal_budget   — how much one steal may take: half the victim's
+//                     backlog (rounded up), capped at kMaxSteal. Taking
+//                     half halves the imbalance per steal without
+//                     ping-ponging the whole backlog.
 //  * select_steal_indices — which items to take: the cluster shares
 //                     warm-pool state, so items whose function the thief
 //                     already holds warm score highest, then items the
@@ -33,26 +33,21 @@
 
 namespace faasbatch::cluster {
 
-struct StealPolicyOptions {
-  /// Backlogs shallower than this are never victimised (the imbalance is
-  /// not worth breaking up a batch run for).
-  std::size_t min_victim_backlog = 8;
-  /// Fraction of the victim's backlog one steal takes (rounded up).
-  double steal_fraction = 0.5;
-  /// Hard cap on invocations moved per steal.
-  std::size_t max_steal = 32;
-};
+/// Backlogs shallower than this are never victimised (the imbalance is
+/// not worth breaking up a batch run for).
+inline constexpr std::size_t kMinVictimBacklog = 4;
+/// Hard cap on invocations moved per steal.
+inline constexpr std::size_t kMaxSteal = 16;
 
 /// Deepest eligible backlog among `backlog_depths` (indexed by worker),
 /// excluding `thief`; ties break to the lower index. nullopt when no
-/// backlog reaches min_victim_backlog.
+/// backlog reaches kMinVictimBacklog.
 std::optional<std::size_t> pick_victim(
-    const std::vector<std::size_t>& backlog_depths, std::size_t thief,
-    const StealPolicyOptions& options);
+    const std::vector<std::size_t>& backlog_depths, std::size_t thief);
 
-/// Invocations one steal may move from a backlog of `victim_backlog`.
-std::size_t steal_budget(std::size_t victim_backlog,
-                         const StealPolicyOptions& options);
+/// Invocations one steal may move from a backlog of `victim_backlog`:
+/// ceil(victim_backlog / 2), capped at kMaxSteal.
+std::size_t steal_budget(std::size_t victim_backlog);
 
 /// Indices into `backlog` (ascending, so callers can erase descending and
 /// append in original FIFO order) of the items a thief should take:

@@ -1,14 +1,12 @@
 #include "eval/experiment.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 #include "common/hash.hpp"
 #include "core/invocation.hpp"
+#include "eval/worker.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace.hpp"
-#include "runtime/container_pool.hpp"
-#include "runtime/machine.hpp"
 #include "sim/simulator.hpp"
 
 namespace faasbatch::eval {
@@ -111,66 +109,30 @@ std::uint64_t TransferCounts::fingerprint() const {
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const trace::Workload& workload) {
   sim::Simulator simulator;
-  runtime::Machine machine(simulator, spec.runtime);
-  runtime::ContainerPool pool(machine);
-  if (spec.keepalive == KeepAliveKind::kHistogram) {
-    pool.set_keepalive_policy(
-        std::make_unique<runtime::HistogramKeepAlive>(spec.keepalive_histogram));
-  }
-
-  std::vector<core::InvocationRecord> records(workload.events.size());
-  for (std::size_t i = 0; i < workload.events.size(); ++i) {
-    records[i].id = static_cast<InvocationId>(i);
-    records[i].function = workload.events[i].function;
-    records[i].arrival = workload.events[i].arrival;
-  }
-
   resilience::ChaosEngine chaos(spec.fault_plan, spec.retry_policy,
                                 spec.overload);
-  if (spec.fault_plan.any()) {
-    // The chaos plan supersedes the pool's config-derived boot-failure
-    // injector so every fault class shares one seed and one stats block.
-    pool.set_fault_injector(&chaos.injector());
-  }
-
   std::size_t accounted = 0;
   SimTime makespan = 0;
-  schedulers::SchedulerContext context{
-      simulator,
-      machine,
-      pool,
-      workload,
-      spec.client_model,
-      records,
-      /*notify_complete=*/nullptr,
-      &chaos,
-  };
-  context.notify_complete = [&](InvocationId id) {
+  Worker worker(simulator, spec, workload, chaos, [&](InvocationId id) {
     // "Accounted" covers every terminal outcome; shed invocations never
     // took an admission slot, so only the others release one.
-    if (records.at(id).outcome != core::Outcome::kShed) chaos.finish();
+    if (worker.records().at(id).outcome != core::Outcome::kShed) chaos.finish();
     ++accounted;
-    if (accounted == records.size()) {
+    if (accounted == workload.events.size()) {
       makespan = simulator.now();
       simulator.stop();
     }
-  };
-
-  auto scheduler =
-      schedulers::make_scheduler(spec.scheduler, context, spec.scheduler_options);
+  });
+  std::vector<core::InvocationRecord>& records = worker.records();
 
   if (obs::tracer().enabled()) {
-    obs::tracer().begin_process("sim:" + std::string(scheduler->name()));
+    obs::tracer().begin_process("sim:" + std::string(worker.scheduler_name()));
   }
 
   for (std::size_t i = 0; i < workload.events.size(); ++i) {
     const InvocationId id = static_cast<InvocationId>(i);
-    const FunctionId function = workload.events[i].function;
     simulator.schedule_at(workload.events[i].arrival,
-                          [&scheduler, &pool, id, function] {
-                            pool.note_arrival(function);
-                            scheduler->on_arrival(id);
-                          });
+                          [&worker, id] { worker.arrive(id); });
   }
 
   simulator.run();
@@ -179,7 +141,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     throw std::runtime_error("run_experiment: " +
                              std::to_string(records.size() - accounted) +
                              " invocations never terminally accounted under " +
-                             std::string(scheduler->name()));
+                             std::string(worker.scheduler_name()));
   }
 
   if (obs::tracer().enabled()) emit_invocation_spans(records);
@@ -193,7 +155,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   }
 
   ExperimentResult result;
-  result.scheduler_name = std::string(scheduler->name());
+  result.scheduler_name = std::string(worker.scheduler_name());
   result.invocations = records.size();
   result.accounted = accounted;
   std::size_t slo_violations = 0;
@@ -229,13 +191,14 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
         static_cast<double>(slo_violations) / static_cast<double>(slo_checked);
   }
 
-  const runtime::PoolStats pool_stats = pool.stats();
+  const runtime::PoolStats pool_stats = worker.pool().stats();
   result.containers_provisioned = pool_stats.total_provisioned;
   result.cold_starts = pool_stats.cold_starts;
   result.warm_hits = pool_stats.warm_hits;
   result.client_creations = pool_stats.total_client_creations;
 
   result.makespan = makespan;
+  runtime::Machine& machine = worker.machine();
   result.memory_avg_mib = to_mib(
       static_cast<Bytes>(machine.memory_gauge().time_average(makespan)));
   result.memory_peak_mib = to_mib(machine.memory_peak());

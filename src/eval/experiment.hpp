@@ -36,10 +36,8 @@ struct ExperimentSpec {
   KeepAliveKind keepalive = KeepAliveKind::kFixed;
   runtime::HistogramKeepAlive::Options keepalive_histogram;
 
-  /// Chaos inputs. When the plan injects any fault the pool's boot
-  /// failures also come from this plan (superseding
-  /// RuntimeConfig::cold_start_failure_rate); with an all-zero plan the
-  /// legacy config knob keeps working unchanged.
+  /// Chaos inputs. Every injected fault, container boot failures
+  /// included, comes from this plan; the all-zero default injects none.
   resilience::FaultPlan fault_plan;
   resilience::RetryPolicy retry_policy;
   resilience::OverloadGuard::Options overload;

@@ -26,7 +26,7 @@ struct FaultPlan {
   std::uint64_t seed = 0xC4A05;
 
   /// Container boot fails after paying its cold start (image pull error,
-  /// runtime crash). Subsumes RuntimeConfig::cold_start_failure_rate.
+  /// runtime crash); the ContainerPool draws it and retries the boot.
   double cold_start_failure_rate = 0.0;
 
   /// The container crashes when a dispatch's execution begins: every

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "common/types.hpp"
 
@@ -50,15 +49,6 @@ struct RuntimeConfig {
 
   /// Concurrent dispatch workers in the platform control plane.
   std::size_t dispatch_parallelism = 16;
-
-  /// Probability that a container start fails after paying its cold
-  /// start (image pull error, runtime crash). The pool retries until a
-  /// start succeeds; the requesting invocations observe the accumulated
-  /// latency. 0 disables failure injection.
-  double cold_start_failure_rate = 0.0;
-
-  /// Seed of the pool's failure-injection stream (deterministic runs).
-  std::uint64_t failure_seed = 0x5EED;
 };
 
 }  // namespace faasbatch::runtime

@@ -38,15 +38,8 @@ obs::Gauge& live_containers_gauge() {
 
 }  // namespace
 
-ContainerPool::ContainerPool(Machine& machine)
-    : machine_(machine), live_gauge_(0.0, /*keep_history=*/true) {
-  // Default injector carries only the legacy boot-failure knob; a chaos
-  // harness replaces it via set_fault_injector with a richer plan.
-  resilience::FaultPlan plan;
-  plan.seed = machine.config().failure_seed;
-  plan.cold_start_failure_rate = machine.config().cold_start_failure_rate;
-  own_injector_ = std::make_unique<resilience::FaultInjector>(plan);
-  injector_ = own_injector_.get();
+ContainerPool::ContainerPool(Machine& machine, resilience::FaultInjector& injector)
+    : machine_(machine), injector_(injector), live_gauge_(0.0, /*keep_history=*/true) {
   live_gauge_.set(machine_.simulator().now(), 0.0);
 }
 
@@ -108,7 +101,7 @@ void ContainerPool::provision_attempt(const trace::FunctionProfile& profile,
         machine_.cpu().submit(
             machine_.config().cold_start_cpu_seconds,
             [this, raw, id, started, profile, on_ready = std::move(on_ready)]() mutable {
-              if (injector_->inject_cold_start_failure()) {
+              if (injector_.inject_cold_start_failure()) {
                 // Injected boot failure: tear the attempt down (its
                 // memory is released) and start over; the waiters keep
                 // accumulating latency from the original request.
@@ -168,10 +161,6 @@ void ContainerPool::release(Container& container) {
   container.expiry_event_ = machine_.simulator().schedule_after(
       keep_alive, [this, id] { reclaim(id); });
   container.expiry_scheduled_ = true;
-}
-
-void ContainerPool::set_fault_injector(resilience::FaultInjector* injector) {
-  injector_ = injector != nullptr ? injector : own_injector_.get();
 }
 
 void ContainerPool::destroy(Container& container) {

@@ -30,7 +30,7 @@ struct PoolStats {
   std::uint64_t cold_starts = 0;
   std::uint64_t warm_hits = 0;
   /// Container starts that failed after their cold start (failure
-  /// injection, RuntimeConfig::cold_start_failure_rate) and were retried.
+  /// injection, FaultPlan::cold_start_failure_rate) and were retried.
   std::uint64_t failed_starts = 0;
   /// Keep-alive expiry events that fired while the container was not
   /// idle. Reuse must cancel the pending expiry, so this is 0 in a
@@ -49,7 +49,9 @@ class ContainerPool {
   /// the caller). `cold_start_latency` is 0 for warm hits.
   using ReadyCallback = std::function<void(Container&, SimDuration cold_start_latency)>;
 
-  explicit ContainerPool(Machine& machine);
+  /// `injector` decides boot failures and must outlive the pool; one
+  /// built from a default FaultPlan never fails a boot.
+  ContainerPool(Machine& machine, resilience::FaultInjector& injector);
   ~ContainerPool();
 
   ContainerPool(const ContainerPool&) = delete;
@@ -76,14 +78,6 @@ class ContainerPool {
   /// have drained its active invocations first (their attempts failed);
   /// lifetime counters fold into the pool aggregate like a reclaim.
   void destroy(Container& container);
-
-  /// Shares an externally-owned fault injector (the harness's
-  /// ChaosEngine) instead of the pool's own config-derived one; the
-  /// injector must outlive the pool.
-  void set_fault_injector(resilience::FaultInjector* injector);
-
-  /// The injector currently deciding boot failures.
-  resilience::FaultInjector& fault_injector() { return *injector_; }
 
   /// Installs a keep-alive policy; by default containers idle for
   /// RuntimeConfig::keep_alive (the paper's fixed behaviour).
@@ -114,11 +108,7 @@ class ContainerPool {
                          ReadyCallback on_ready);
 
   Machine& machine_;
-  // Boot-failure decisions come from a FaultInjector; by default the pool
-  // builds its own from RuntimeConfig {failure_seed,
-  // cold_start_failure_rate}, but a harness-owned one can be shared in.
-  std::unique_ptr<resilience::FaultInjector> own_injector_;
-  resilience::FaultInjector* injector_ = nullptr;
+  resilience::FaultInjector& injector_;
   std::unique_ptr<KeepAlivePolicy> keepalive_;  // nullptr = fixed config value
   std::unordered_map<ContainerId, std::unique_ptr<Container>> containers_;
   std::unordered_map<FunctionId, std::vector<ContainerId>> idle_by_function_;

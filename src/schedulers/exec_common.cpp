@@ -60,7 +60,7 @@ void create_storage_client(SchedulerContext& ctx, runtime::Container& container,
 }
 
 bool admit_invocation(SchedulerContext& ctx, InvocationId id) {
-  if (ctx.chaos == nullptr || ctx.chaos->admit()) return true;
+  if (ctx.chaos.admit()) return true;
   core::InvocationRecord& record = ctx.records.at(id);
   record.outcome = core::Outcome::kShed;
   record.returned = ctx.sim.now();
@@ -84,9 +84,8 @@ bool retry_or_fail(SchedulerContext& ctx, InvocationId id,
   // chain into a single tree instead of appearing as unrelated events.
   const std::uint64_t root = obs::invocation_root_span(id);
   SimDuration backoff = 0;
-  if (ctx.chaos != nullptr &&
-      ctx.chaos->plan_retry(id, record.attempts, record.arrival, ctx.sim.now(),
-                            &backoff)) {
+  if (ctx.chaos.plan_retry(id, record.attempts, record.arrival, ctx.sim.now(),
+                           &backoff)) {
     obs::flight().record(obs::FlightEventKind::kRetry, obs::kNoShard,
                          ctx.sim.now(), id,
                          obs::attempt_span(root, record.attempts),
@@ -124,8 +123,8 @@ bool retry_or_fail(SchedulerContext& ctx, InvocationId id,
 bool maybe_crash_dispatch(SchedulerContext& ctx, runtime::Container& container,
                           std::vector<InvocationId> members,
                           std::function<void(InvocationId)> redispatch) {
-  if (ctx.chaos == nullptr || members.empty()) return false;
-  if (!ctx.chaos->injector().inject_container_crash()) return false;
+  if (members.empty()) return false;
+  if (!ctx.chaos.injector().inject_container_crash()) return false;
   runtime::Container* crashed = &container;
   if (obs::tracer().enabled()) {
     obs::tracer().instant(
@@ -137,7 +136,7 @@ bool maybe_crash_dispatch(SchedulerContext& ctx, runtime::Container& container,
   // leading up to the batch that went down together.
   obs::flight().incident("container_crash", ctx.sim.now(), members.front(),
                          obs::invocation_root_span(members.front()));
-  const SimDuration detect = ctx.chaos->injector().plan().crash_detection_latency;
+  const SimDuration detect = ctx.chaos.injector().plan().crash_detection_latency;
   ctx.sim.schedule_after(
       detect, [&ctx, crashed, members = std::move(members),
                redispatch = std::move(redispatch)]() {
@@ -182,13 +181,9 @@ void execute_invocation(SchedulerContext& ctx, runtime::Container& container,
   }
 
   // Per-attempt fault draws, in a fixed order per class stream.
-  bool exec_fault = false;
-  double straggler = 1.0;
-  if (ctx.chaos != nullptr) {
-    exec_fault = ctx.chaos->injector().inject_exec_error();
-    straggler = ctx.chaos->injector().straggler_multiplier();
-    if (exec_fault) ++record.faults;
-  }
+  const bool exec_fault = ctx.chaos.injector().inject_exec_error();
+  const double straggler = ctx.chaos.injector().straggler_multiplier();
+  if (exec_fault) ++record.faults;
 
   // Completion stamp shared by both body kinds. A failed attempt still
   // stamps exec_end (it ran and paid its costs) but leaves the record
@@ -221,7 +216,7 @@ void execute_invocation(SchedulerContext& ctx, runtime::Container& container,
 
   // I/O body: client acquisition, then the object operation (modelled as
   // network-bound latency, not CPU).
-  if (ctx.chaos != nullptr && ctx.chaos->injector().inject_storage_failure()) {
+  if (ctx.chaos.injector().inject_storage_failure()) {
     // Client creation fails after paying its cost; the attempt dies
     // without touching the multiplexer cache (a failed client must not
     // be shared with the rest of the batch).

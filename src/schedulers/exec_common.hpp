@@ -32,8 +32,8 @@ struct ExecEnv {
 /// Runs one execution attempt of invocation `id` inside `container`.
 /// Stamps exec_start now and exec_end at completion, counts the attempt,
 /// balances begin_invocation/end_invocation, then calls `on_done(ok)`.
-/// With a chaos engine in the context the attempt may absorb an injected
-/// execution error, storage-client failure, or straggler slowdown; `ok`
+/// The context's chaos engine may inject an execution error,
+/// storage-client failure, or straggler slowdown into the attempt; `ok`
 /// is false when the attempt failed (the record is NOT terminally
 /// accounted — the caller decides via retry_or_fail). On success the
 /// record is marked completed with Outcome::kCompleted. The caller is
@@ -50,8 +50,7 @@ bool admit_invocation(SchedulerContext& ctx, InvocationId id);
 /// Decides the fate of invocation `id` after a failed attempt: either
 /// schedules `redispatch` after the retry policy's backoff (returns
 /// true) or terminally fails the invocation — Outcome::kFailed, returned
-/// stamped, notify_complete fired (returns false). Without a chaos
-/// engine the invocation is failed immediately (no policy = no retries).
+/// stamped, notify_complete fired (returns false).
 bool retry_or_fail(SchedulerContext& ctx, InvocationId id,
                    std::function<void()> redispatch);
 

@@ -44,9 +44,9 @@ struct SchedulerContext {
   /// invocation (completed, terminally failed, or shed); the record's
   /// outcome distinguishes the cases.
   std::function<void(InvocationId)> notify_complete;
-  /// Chaos harness (fault injection, retry policy, overload guard);
-  /// nullptr = fault-free run with no admission control.
-  resilience::ChaosEngine* chaos = nullptr;
+  /// Chaos harness (fault injection, retry policy, overload guard). A
+  /// default-constructed engine injects nothing and admits everything.
+  resilience::ChaosEngine& chaos;
 };
 
 /// Policy knobs (paper §IV "Dispatch Intervals" and "Porting Kraken and

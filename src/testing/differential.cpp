@@ -1,11 +1,10 @@
 #include "testing/differential.hpp"
 
-#include <memory>
 #include <sstream>
+#include <utility>
 
 #include "core/invocation.hpp"
-#include "runtime/container_pool.hpp"
-#include "runtime/machine.hpp"
+#include "eval/worker.hpp"
 #include "sim/simulator.hpp"
 
 namespace faasbatch::testing {
@@ -32,28 +31,23 @@ InstrumentedRun run_one(schedulers::SchedulerKind kind, eval::ExperimentSpec spe
   spec.scheduler = kind;
 
   sim::Simulator simulator;
-  runtime::Machine machine(simulator, spec.runtime);
-  runtime::ContainerPool pool(machine);
-  if (spec.keepalive == eval::KeepAliveKind::kHistogram) {
-    pool.set_keepalive_policy(
-        std::make_unique<runtime::HistogramKeepAlive>(spec.keepalive_histogram));
-  }
-
   resilience::ChaosEngine chaos(spec.fault_plan, spec.retry_policy,
                                 spec.overload);
-  if (spec.fault_plan.any()) pool.set_fault_injector(&chaos.injector());
 
   InstrumentedRun run;
   run.machine_cores = spec.runtime.machine_cores;
   run.platform_base_bytes = static_cast<double>(spec.runtime.platform_base_memory);
-
-  run.records.resize(workload.events.size());
   run.accountings.assign(workload.events.size(), 0);
-  for (std::size_t i = 0; i < workload.events.size(); ++i) {
-    run.records[i].id = static_cast<InvocationId>(i);
-    run.records[i].function = workload.events[i].function;
-    run.records[i].arrival = workload.events[i].arrival;
-  }
+
+  eval::Worker worker(simulator, spec, workload, chaos, [&](InvocationId id) {
+    if (worker.records().at(id).outcome != core::Outcome::kShed) chaos.finish();
+    ++run.accountings.at(id);
+    run.summary.last_completion = simulator.now();
+  });
+  run.summary.name = std::string(worker.scheduler_name());
+  run.summary.invocations = workload.events.size();
+  runtime::Machine& machine = worker.machine();
+  runtime::ContainerPool& pool = worker.pool();
 
   // Watch busy cores on every rate change: the fluid CPU must never
   // allocate negative rates or exceed the machine.
@@ -64,39 +58,16 @@ InstrumentedRun run_one(schedulers::SchedulerKind kind, eval::ExperimentSpec spe
     if (busy_cores > peak_rate) peak_rate = busy_cores;
   });
 
-  schedulers::SchedulerContext context{
-      simulator,
-      machine,
-      pool,
-      workload,
-      spec.client_model,
-      run.records,
-      /*notify_complete=*/nullptr,
-      &chaos,
-  };
-  context.notify_complete = [&](InvocationId id) {
-    if (run.records.at(id).outcome != core::Outcome::kShed) chaos.finish();
-    ++run.accountings.at(id);
-    run.summary.last_completion = simulator.now();
-  };
-
-  auto scheduler = schedulers::make_scheduler(kind, context, spec.scheduler_options);
-  run.summary.name = std::string(scheduler->name());
-  run.summary.invocations = workload.events.size();
-
   for (std::size_t i = 0; i < workload.events.size(); ++i) {
     const InvocationId id = static_cast<InvocationId>(i);
-    const FunctionId function = workload.events[i].function;
     simulator.schedule_at(workload.events[i].arrival,
-                          [&scheduler, &pool, id, function] {
-                            pool.note_arrival(function);
-                            scheduler->on_arrival(id);
-                          });
+                          [&worker, id] { worker.arrive(id); });
   }
 
   // Unlike run_experiment, run to full quiescence: keep-alive expiries
   // fire and every container is reclaimed, so drain invariants apply.
   simulator.run();
+  run.records = std::move(worker.records());
 
   for (const core::InvocationRecord& record : run.records) {
     switch (record.outcome) {

@@ -352,9 +352,6 @@ ClusterSpec pull_chaos_spec(double crash_rate, double stall_rate,
                  seed);
   spec.pull.worker_capacity = 6;
   spec.pull.pull_batch = 16;
-  spec.pull.steal.min_victim_backlog = 4;
-  spec.pull.steal.steal_fraction = 0.5;
-  spec.pull.steal.max_steal = 8;
   return spec;
 }
 

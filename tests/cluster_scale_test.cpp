@@ -50,9 +50,6 @@ ClusterSpec scale_spec() {
   spec.balancer = BalancerKind::kFunctionAffinity;
   spec.pull.worker_capacity = 8;
   spec.pull.pull_batch = 32;
-  spec.pull.steal.min_victim_backlog = 4;
-  spec.pull.steal.steal_fraction = 0.5;
-  spec.pull.steal.max_steal = 16;
   spec.worker_spec.scheduler = schedulers::SchedulerKind::kFaasBatch;
   // A light crash plan: enough deaths to exercise backlog requeue and
   // failover at scale, few enough that zombie instances (each holding a

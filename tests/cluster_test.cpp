@@ -120,9 +120,6 @@ ClusterSpec pull_spec(std::size_t workers) {
   spec.workers = workers;
   spec.pull.worker_capacity = 8;
   spec.pull.pull_batch = 16;
-  spec.pull.steal.min_victim_backlog = 4;
-  spec.pull.steal.steal_fraction = 0.5;
-  spec.pull.steal.max_steal = 16;
   return spec;
 }
 

@@ -97,5 +97,37 @@ TEST(DifferentialHarnessTest, HandBuiltTraceIsClean) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+TEST(DifferentialHarnessTest, AgreesWithStandaloneExperiment) {
+  // The instrumented harness and run_experiment build the same
+  // eval::Worker, so under one chaos plan (boot failures included) every
+  // scheduler's outcome must match between them exactly.
+  for (const std::uint64_t seed : {2ull, 5ull, 8ull}) {
+    const trace::Workload workload = fuzz_workload(seed);
+    DifferentialOptions options;
+    options.spec.scheduler_options.kraken_default_slo_ms = 2000.0;
+    options.spec.fault_plan = fuzz_fault_plan(seed);
+    options.spec.fault_plan.cold_start_failure_rate = 0.2;
+    const DifferentialReport report = check_workload(seed, workload, options);
+    EXPECT_TRUE(report.ok()) << report.summary();
+    ASSERT_EQ(report.runs.size(), options.schedulers.size());
+    for (std::size_t i = 0; i < options.schedulers.size(); ++i) {
+      eval::ExperimentSpec spec = options.spec;
+      spec.scheduler = options.schedulers[i];
+      const eval::ExperimentResult standalone = eval::run_experiment(spec, workload);
+      const SchedulerRunSummary& run = report.runs[i];
+      EXPECT_EQ(run.completed, standalone.completed) << run.name << ", seed " << seed;
+      EXPECT_EQ(run.failed, standalone.failed) << run.name << ", seed " << seed;
+      EXPECT_EQ(run.shed, standalone.shed) << run.name << ", seed " << seed;
+      EXPECT_EQ(run.containers_provisioned, standalone.containers_provisioned)
+          << run.name << ", seed " << seed;
+      EXPECT_EQ(run.chaos_fingerprint, standalone.chaos_fingerprint)
+          << run.name << ", seed " << seed;
+      EXPECT_EQ(run.last_completion, standalone.makespan)
+          << run.name << ", seed " << seed;
+      EXPECT_GT(standalone.fault_stats.total(), 0u) << run.name << ", seed " << seed;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace faasbatch::testing

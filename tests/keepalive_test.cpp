@@ -76,7 +76,8 @@ TEST(PoolKeepAliveIntegrationTest, PolicyControlsReclamation) {
   RuntimeConfig config;
   config.keep_alive = 10 * kMinute;  // fixed default would keep it all run
   Machine machine(sim, config);
-  ContainerPool pool(machine);
+  resilience::FaultInjector injector{resilience::FaultPlan{}};  // no boot failures
+  ContainerPool pool(machine, injector);
   HistogramKeepAlive::Options options;
   options.floor = kSecond;
   options.cap = 2 * kSecond;  // everything reclaimed within 2 s idle

@@ -22,10 +22,11 @@ struct Fixture {
   sim::Simulator sim;
   RuntimeConfig config;
   Machine machine;
+  resilience::FaultInjector injector{resilience::FaultPlan{}};  // no boot failures
   ContainerPool pool;
 
   explicit Fixture(RuntimeConfig cfg = {})
-      : config(cfg), machine(sim, cfg), pool(machine) {}
+      : config(cfg), machine(sim, cfg), pool(machine, injector) {}
 };
 
 TEST(MachineTest, StartsWithPlatformMemory) {

@@ -248,37 +248,27 @@ TEST(PendingQueueFuzzTest, ReplayIsDeterministic) {
 // --- Steal policy decisions -----------------------------------------------
 
 TEST(StealPolicyTest, PickVictimTakesDeepestAboveThreshold) {
-  StealPolicyOptions options;
-  options.min_victim_backlog = 4;
-  EXPECT_EQ(pick_victim({0, 9, 3, 12}, /*thief=*/0, options), 3u);
-  EXPECT_EQ(pick_victim({0, 9, 3, 2}, 0, options), 1u);
-  // Below threshold everywhere: no victim.
-  EXPECT_EQ(pick_victim({3, 3, 3, 3}, 0, options), std::nullopt);
+  EXPECT_EQ(pick_victim({0, 9, 3, 12}, /*thief=*/0), 3u);
+  EXPECT_EQ(pick_victim({0, 9, 3, 2}, 0), 1u);
+  // Below kMinVictimBacklog everywhere: no victim.
+  EXPECT_EQ(pick_victim({3, 3, 3, 3}, 0), std::nullopt);
 }
 
 TEST(StealPolicyTest, PickVictimNeverPicksTheThief) {
-  StealPolicyOptions options;
-  options.min_victim_backlog = 1;
-  EXPECT_EQ(pick_victim({20, 5}, /*thief=*/0, options), 1u);
-  EXPECT_EQ(pick_victim({20}, 0, options), std::nullopt);
+  EXPECT_EQ(pick_victim({20, 5}, /*thief=*/0), 1u);
+  EXPECT_EQ(pick_victim({20}, 0), std::nullopt);
 }
 
 TEST(StealPolicyTest, PickVictimTiesBreakToLowerIndex) {
-  StealPolicyOptions options;
-  options.min_victim_backlog = 1;
-  EXPECT_EQ(pick_victim({3, 8, 8, 8}, /*thief=*/1, options), 2u);
-  EXPECT_EQ(pick_victim({8, 3, 8, 8}, 1, options), 0u);
+  EXPECT_EQ(pick_victim({3, 8, 8, 8}, /*thief=*/1), 2u);
+  EXPECT_EQ(pick_victim({8, 3, 8, 8}, 1), 0u);
 }
 
 TEST(StealPolicyTest, StealBudgetIsFractionRoundedUpAndCapped) {
-  StealPolicyOptions options;
-  options.steal_fraction = 0.5;
-  options.max_steal = 8;
-  EXPECT_EQ(steal_budget(1, options), 1u);   // ceil(0.5)
-  EXPECT_EQ(steal_budget(7, options), 4u);   // ceil(3.5)
-  EXPECT_EQ(steal_budget(100, options), 8u); // max_steal cap
-  options.steal_fraction = 2.0;              // clamped to the backlog
-  EXPECT_EQ(steal_budget(5, options), 5u);
+  EXPECT_EQ(steal_budget(0), 0u);
+  EXPECT_EQ(steal_budget(1), 1u);    // ceil(0.5)
+  EXPECT_EQ(steal_budget(7), 4u);    // ceil(3.5)
+  EXPECT_EQ(steal_budget(100), 16u); // kMaxSteal cap
 }
 
 TEST(StealPolicyTest, SelectPrefersWarmThenAffineThenRestNewestFirst) {

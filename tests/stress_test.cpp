@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/experiment.hpp"
+#include "eval/worker.hpp"
 #include "trace/workload.hpp"
 
 namespace faasbatch::eval {
@@ -33,7 +34,7 @@ TEST_P(SchedulerStressTest, FullSystemInvariants) {
   // Vary a couple of knobs off the seed to widen coverage.
   spec.scheduler_options.dispatch_window =
       from_millis(50.0 + static_cast<double>(param.seed % 5) * 100.0);
-  if (param.seed % 3 == 0) spec.runtime.cold_start_failure_rate = 0.2;
+  if (param.seed % 3 == 0) spec.fault_plan.cold_start_failure_rate = 0.2;
   if (param.seed % 2 == 0) spec.scheduler_options.faasbatch_max_group = 16;
 
   const ExperimentResult result = run_experiment(spec, workload);
@@ -94,30 +95,23 @@ TEST(MemoryDrainTest, MemoryReturnsToPlatformBaseAfterKeepAlive) {
   for (const auto kind : {schedulers::SchedulerKind::kVanilla,
                           schedulers::SchedulerKind::kFaasBatch}) {
     sim::Simulator simulator;
-    runtime::RuntimeConfig config;
-    config.keep_alive = 30 * kSecond;
-    runtime::Machine machine(simulator, config);
-    runtime::ContainerPool pool(machine);
-    std::vector<core::InvocationRecord> records(workload.events.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      records[i].id = static_cast<InvocationId>(i);
-      records[i].function = workload.events[i].function;
-      records[i].arrival = workload.events[i].arrival;
-    }
+    ExperimentSpec spec;
+    spec.scheduler = kind;
+    spec.runtime.keep_alive = 30 * kSecond;
+    resilience::ChaosEngine chaos;
     std::size_t completed = 0;
-    schedulers::SchedulerContext context{
-        simulator, machine, pool, workload, storage::ClientCostModel{}, records,
-        [&completed](InvocationId) { ++completed; }};
-    auto scheduler = schedulers::make_scheduler(kind, context, {});
+    Worker worker(simulator, spec, workload, chaos,
+                  [&completed](InvocationId) { ++completed; });
     for (std::size_t i = 0; i < workload.events.size(); ++i) {
       const InvocationId id = static_cast<InvocationId>(i);
       simulator.schedule_at(workload.events[i].arrival,
-                            [&scheduler, id] { scheduler->on_arrival(id); });
+                            [&worker, id] { worker.arrive(id); });
     }
     simulator.run();  // drains execution AND keep-alive expiries
     EXPECT_EQ(completed, workload.events.size());
-    EXPECT_EQ(pool.live_containers(), 0u) << schedulers::scheduler_kind_name(kind);
-    EXPECT_EQ(machine.memory_in_use(), config.platform_base_memory)
+    EXPECT_EQ(worker.pool().live_containers(), 0u)
+        << schedulers::scheduler_kind_name(kind);
+    EXPECT_EQ(worker.machine().memory_in_use(), spec.runtime.platform_base_memory)
         << schedulers::scheduler_kind_name(kind);
   }
 }
